@@ -12,8 +12,9 @@ from bandit_switch import (
     Bernoulli,
     PolicySpec,
     PolicyState,
-    compute_index,
+    indices,
     switch_threshold,
+    switch_value,
     update,
 )
 
@@ -25,7 +26,7 @@ print("Replaying one short history and printing every family's index on")
 print("the same state.  The sandwich klucb <= switch <= moss always holds.")
 print()
 
-state = PolicyState.fresh(2, rng=rng)
+state = PolicyState.fresh(2)
 for step in range(1, 41):
     arm = (step - 1) % 2 if step <= 2 else int(rng.integers(2))
     update(state, arm, float(bandit.arms[arm].quantile(rng.random())))
@@ -41,14 +42,13 @@ specs = {
     "imed (argmin!)": PolicySpec("imed"),
 }
 
-print(f"state after t = {state.t} pulls: counts = {state.counts}, "
+print(f"state after t = {state.t} pulls: counts = {state.counts[0].astype(int).tolist()}, "
       f"means = {[round(state.mean(a), 3) for a in range(2)]}")
 print()
 print(f"{'family':>18} | {'arm 0':>10} | {'arm 1':>10}")
 print("-" * 46)
 for name, spec in specs.items():
-    i0 = compute_index(spec, state, 0)
-    i1 = compute_index(spec, state, 1)
+    i0, i1 = indices(spec, state)
     print(f"{name:>18} | {i0:10.5f} | {i1:10.5f}")
 
 print()
@@ -66,7 +66,7 @@ for tau in (10, 100, 1000, 10_000, 100_000):
 print()
 print("Anytime switch on a growing history: the branch is re-evaluated at")
 print("every step from the current pull count, so an arm can switch back.")
-state = PolicyState.fresh(2, rng=rng)
+state = PolicyState.fresh(2)
 sw = PolicySpec("klucb-switch-anytime", switch_exponent=8.0 / 9.0)
 last_branch = None
 for step in range(1, 201):
@@ -74,10 +74,9 @@ for step in range(1, 201):
     update(state, arm, float(bandit.arms[arm].quantile(rng.random())))
     if step < 3:
         continue
-    from bandit_switch.policies import switch_value
-
     f = switch_value(state.t, 2, 8.0 / 9.0)
-    branch = "klucb" if state.counts[0] <= f else "moss"
+    n0 = int(state.counts[0, 0])
+    branch = "klucb" if n0 <= f else "moss"
     if branch != last_branch:
-        print(f"  t = {state.t:>4}: arm 0 has {state.counts[0]:>3} pulls, f(t, K) = {f:7.2f} -> {branch} branch")
+        print(f"  t = {state.t:>4}: arm 0 has {n0:>3} pulls, f(t, K) = {f:7.2f} -> {branch} branch")
         last_branch = branch

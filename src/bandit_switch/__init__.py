@@ -19,7 +19,6 @@ from .kinf import (
     KinfResult,
     KinfWitness,
     bernoulli_kl,
-    exp_kl_index,
     h_derivative,
     h_value,
     kinf,
@@ -32,7 +31,7 @@ from .policies import (
     FAMILIES,
     PolicySpec,
     PolicyState,
-    compute_index,
+    indices,
     log_plus,
     moss_index,
     phi,

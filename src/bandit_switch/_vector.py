@@ -1,47 +1,104 @@
-"""Vectorised multi-run simulation engine.
+"""The index kernel of both simulation engines, and the vectorised engine.
 
-Simulates a batch of independent runs of one policy simultaneously, with
-state arrays of shape (runs, arms).  Because rewards and tie-breaks come
-from the counter-based hash in :mod:`._rng`, each run's trajectory is the
-same whether it is simulated here, in another batch split, or one run at a
-time by the scalar reference engine in :mod:`.simulator`.
+:func:`_indices` is the only place an index is computed.  It works on
+state arrays of shape (runs, arms): the vectorised engine
+:func:`simulate` calls it on a batch of independent runs, the scalar
+reference engine (:func:`.policies.select_arm`, driven by
+:mod:`.simulator`) on one run, shape (1, arms).  Because rewards and
+tie-breaks come from the counter-based hash in :mod:`._rng`, each run's
+trajectory is the same whether it is simulated here, in another batch
+split, or one run at a time.
 
-The engine is available when per-arm (count, mean) statistics determine
-the policy's index (ucb, moss families, parametric comparators), or, for
-the empirical-likelihood families, when every arm is supported on {0, 1}
-so that the empirical distribution reduces to its mean.  In that reduction
-the divergence is the Bernoulli KL, inverted by a guarded Newton iteration
-in the variable y = -ln(1 - mu), where the problem is concave and
-well-conditioned all the way to mu -> 1.
+The empirical-likelihood families (klucb*, imed) take one of two branches,
+chosen by the input.  Given one run's empirical distributions, they use
+the divergence ``kinf`` on them, arm by arm, for any support.  Without
+them every arm must be supported on {0, 1}, so that the empirical
+distribution reduces to its mean: the divergence is then the Bernoulli
+KL, inverted by a guarded Newton iteration in the variable
+y = -ln(1 - mu), where the problem is concave and well-conditioned all the
+way to mu -> 1.  The batch engine takes the second branch, hence
+:func:`supports`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ._rng import CH_REWARD, CH_TIE, mix64_array, unit_uniform_array
 from .distributions import BanditInstance, Bernoulli, Dirac
-from .policies import PolicySpec, switch_value
+from .kinf import kinf, klucb_index
 
-_MEAN_BASED = {"ucb", "moss", "moss-anytime", "klucb-gauss", "klucb-exp"}
-_KL_FAMILIES = {"klucb", "klucb-anytime", "klucb-switch", "klucb-switch-anytime", "imed"}
+if TYPE_CHECKING:
+    from .policies import PolicySpec
+
+_EMPIRICAL_EXPONENT = 8.0 / 9.0
 
 
 def supports(bandit: BanditInstance, spec: PolicySpec) -> bool:
-    """Whether this engine can simulate (bandit, spec) exactly."""
-    if spec.family in _MEAN_BASED:
-        return True
-    return all(arm.support_binary for arm in bandit.arms)
+    """Whether the batch engine can simulate (bandit, spec) exactly: always,
+    unless the policy needs the empirical distributions and an arm is not
+    supported on {0, 1}."""
+    return not spec.needs_distributions or all(arm.support_binary for arm in bandit.arms)
 
 
-def _explo_vec(kind: str, x: np.ndarray) -> np.ndarray:
+def _explo(kind: str, x):
+    """Exploration function, elementwise: ln_+ x, or the augmented
+    x -> ln_+(x (1 + ln_+^2 x)) for ``augmented_phi``."""
     lp = np.log(np.maximum(x, 1.0))
     if kind == "augmented_phi":
         return np.log(np.maximum(x * (1.0 + lp * lp), 1.0))
     return lp
+
+
+def log_plus(x: float) -> float:
+    """Positive part of the natural logarithm."""
+    if x <= 0.0:
+        raise ValueError("log_plus requires a positive argument")
+    return float(_explo("log_plus", x))
+
+
+def phi(x: float) -> float:
+    """Augmented exploration x -> ln_+(x (1 + ln_+^2 x)); non-decreasing,
+    and never below ln_+."""
+    if x <= 0.0:
+        raise ValueError("phi requires a positive argument")
+    return float(_explo("augmented_phi", x))
+
+
+def _moss(mean, n, ratio: float, explo: str):
+    return mean + np.sqrt(_explo(explo, ratio / n) / (2.0 * n))
+
+
+def moss_index(mean: float, n: int, ratio: float, explo: str = "log_plus") -> float:
+    """mean + sqrt(explo(ratio / n) / (2 n)), the minimax bonus template."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return float(_moss(mean, n, ratio, explo))
+
+
+def switch_value(tau: float, k: int, exponent: float = 0.2) -> float:
+    """Switch threshold as a real number, used by the branch test.
+
+    Two conventions, matching how each variant is defined: the exponent
+    8/9 floors the ratio before exponentiation (empirical variant), any
+    other exponent floors the power (theoretical variant, where the
+    threshold is an integer by definition).
+    """
+    if tau < 1 or k < 1:
+        raise ValueError("tau and k must be >= 1")
+    if abs(exponent - _EMPIRICAL_EXPONENT) < 1e-12:
+        return math.floor(tau / k) ** exponent
+    return float(math.floor((tau / k) ** exponent))
+
+
+def switch_threshold(tau: int, k: int, exponent: float = 0.2) -> int:
+    """Integer switch threshold (the real value of :func:`switch_value`,
+    floored for display)."""
+    return int(math.floor(switch_value(tau, k, exponent)))
 
 
 def bern_klucb(p: np.ndarray, d: np.ndarray, iters: int = 40) -> np.ndarray:
@@ -114,11 +171,14 @@ def _bern_kl_vec(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _Ctx:
+    """What the kernel and the reward draw read: the policy, and the arms
+    (with their parameters as arrays when every arm is Bernoulli, resp.
+    Dirac).  The kernel reads only ``spec``."""
+
     spec: PolicySpec
-    k: int
-    arms: tuple
-    bern_p: np.ndarray | None
-    dirac_v: np.ndarray | None
+    arms: tuple = ()
+    bern_p: np.ndarray | None = None
+    dirac_v: np.ndarray | None = None
 
 
 def _make_ctx(bandit: BanditInstance, spec: PolicySpec) -> _Ctx:
@@ -129,7 +189,7 @@ def _make_ctx(bandit: BanditInstance, spec: PolicySpec) -> _Ctx:
         bern_p = np.array([a.p for a in arms])
     elif all(isinstance(a, Dirac) for a in arms):
         dirac_v = np.array([a.value for a in arms])
-    return _Ctx(spec=spec, k=bandit.k, arms=arms, bern_p=bern_p, dirac_v=dirac_v)
+    return _Ctx(spec=spec, arms=arms, bern_p=bern_p, dirac_v=dirac_v)
 
 
 def _draw(ctx: _Ctx, action: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -145,21 +205,38 @@ def _draw(ctx: _Ctx, action: np.ndarray, u: np.ndarray) -> np.ndarray:
     return r
 
 
-def _tie_break(scores: np.ndarray, u: np.ndarray, minimize: bool) -> np.ndarray:
-    if minimize:
-        scores = -scores
-    best = scores.max(axis=1)
-    is_best = scores == best[:, None]
-    n_tie = is_best.sum(axis=1)
-    pick = (u * n_tie).astype(np.int64)
-    csum = np.cumsum(is_best, axis=1)
-    return np.argmax(csum > pick[:, None], axis=1)
+def _tie_break(scores: np.ndarray, u, minimize: bool) -> np.ndarray:
+    """Per run, the arm of best score; among m tied arms, the i-th in arm
+    order for u in [i/m, (i+1)/m)."""
+    best = scores.min(axis=1, keepdims=True) if minimize else scores.max(axis=1, keepdims=True)
+    rank = (scores == best).cumsum(axis=1)  # last column: number tied
+    pick = (u * rank[:, -1]).astype(np.int64)
+    return (rank > pick[:, None]).argmax(axis=1)
 
 
-def _indices(ctx: _Ctx, n: np.ndarray, s: np.ndarray, t: int) -> np.ndarray:
+def _kl_upper(p: np.ndarray, d: np.ndarray, dists, mask=None) -> np.ndarray:
+    """sup { mu : divergence <= d } entrywise, for the arms selected by
+    ``mask`` (all when None): ``klucb_index`` on each arm's empirical
+    distribution when one run's ``dists`` are given, else the Bernoulli KL
+    on the mean ``p``."""
+    if dists is None:
+        return bern_klucb(p, d)
+    arms = range(len(dists)) if mask is None else np.flatnonzero(mask)
+    return np.array([klucb_index(dists[a], x) for a, x in zip(arms, d.ravel().tolist())]).reshape(p.shape)
+
+
+def _indices(ctx: _Ctx, n: np.ndarray, s: np.ndarray, t: int, dists=None) -> np.ndarray:
+    """Index of every (run, arm) at time ``t`` from pull counts ``n`` (all
+    >= 1) and reward sums ``s``, both of shape (runs, arms).  For imed the
+    index is a score to *minimise*; every other family maximises.
+
+    ``dists``, one run's empirical distributions (runs = 1), selects the
+    ``kinf`` branch of the empirical-likelihood families; without it they
+    take the Bernoulli branch, exact for arms supported on {0, 1}.
+    """
     spec = ctx.spec
     fam = spec.family
-    k = ctx.k
+    k = n.shape[1]
     mean = s / n
 
     if fam == "ucb":
@@ -167,32 +244,37 @@ def _indices(ctx: _Ctx, n: np.ndarray, s: np.ndarray, t: int) -> np.ndarray:
         return mean + np.sqrt(c / n)
     if fam in ("moss", "moss-anytime"):
         ratio = (spec.horizon if fam == "moss" else t) / k
-        return mean + np.sqrt(_explo_vec(spec.exploration, ratio / n) / (2.0 * n))
+        return _moss(mean, n, ratio, spec.exploration)
     if fam == "klucb-gauss":
         ref = spec.horizon if spec.horizon is not None else t
-        return mean + np.sqrt(2.0 * spec.sigma**2 * _explo_vec(spec.exploration, ref / (k * n)) / n)
+        return mean + np.sqrt(2.0 * spec.sigma**2 * _explo(spec.exploration, ref / (k * n)) / n)
     if fam == "klucb-exp":
         ref = spec.horizon if spec.horizon is not None else t
-        d = _explo_vec(spec.exploration, ref / (k * n)) / n
+        d = _explo(spec.exploration, ref / (k * n)) / n
         return exp_klucb(np.maximum(mean, 1e-12), d)
     if fam in ("klucb", "klucb-anytime"):
         ref = spec.horizon if fam == "klucb" else t
-        d = _explo_vec(spec.exploration, ref / (k * n)) / n
-        return bern_klucb(mean, d)
+        d = _explo(spec.exploration, ref / (k * n)) / n
+        return _kl_upper(mean, d, dists)
     if fam in ("klucb-switch", "klucb-switch-anytime"):
         ref = spec.horizon if fam == "klucb-switch" else t
         ratio = ref / k
-        out = mean + np.sqrt(_explo_vec(spec.exploration, ratio / n) / (2.0 * n))
+        out = _moss(mean, n, ratio, spec.exploration)
         f = switch_value(ref, k, spec.switch_exponent)
         kl_branch = n <= f
         if kl_branch.any():
             n_c = n[kl_branch]
-            d_c = _explo_vec(spec.exploration, ratio / n_c) / n_c
-            out[kl_branch] = bern_klucb(mean[kl_branch], d_c)
+            d_c = _explo(spec.exploration, ratio / n_c) / n_c
+            out[kl_branch] = _kl_upper(mean[kl_branch], d_c, dists, kl_branch)
         return out
     if fam == "imed":
         pmax = np.clip(mean.max(axis=1), 1e-9, 1.0 - 1e-9)[:, None]
-        kl = np.where(mean >= pmax, 0.0, _bern_kl_vec(mean, pmax))
+        if dists is None:
+            kl = np.where(mean >= pmax, 0.0, _bern_kl_vec(mean, pmax))
+        else:
+            kl = np.zeros_like(mean)
+            for a in np.flatnonzero(mean < pmax):
+                kl[0, a] = kinf(dists[a], float(pmax[0, 0])).value
         return n * kl + np.log(n)
     raise AssertionError(f"unhandled family {fam!r}")
 

@@ -28,13 +28,14 @@ import sys
 
 from . import __version__
 from .distributions import BanditInstance, Bernoulli
-from .policies import PolicySpec
+from .policies import _NEEDS_HORIZON, PolicySpec
 from .simulator import (
     ConfigurationError,
     Scenario,
     default_record_grid,
     monte_carlo,
     normalized_regret,
+    positive_int,
 )
 from .verification import SUITES, run_suite
 
@@ -191,13 +192,16 @@ def _write_meta(out_dir: str, config: dict) -> None:
 
 
 def _parallelism(args, cfg: dict) -> int:
-    if args.parallelism is not None:
-        return args.parallelism
-    env = os.environ.get("BANDIT_SWITCH_THREADS")
-    if env:
-        return max(1, int(env))
-    if cfg.get("parallelism"):
-        return int(cfg["parallelism"])
+    """Worker processes: ``--parallelism``, else $BANDIT_SWITCH_THREADS,
+    else the config's ``parallelism``, else the number of cores."""
+    sources = (
+        ("--parallelism", args.parallelism),
+        ("BANDIT_SWITCH_THREADS", os.environ.get("BANDIT_SWITCH_THREADS") or None),
+        ("parallelism", cfg.get("parallelism")),
+    )
+    for name, value in sources:
+        if value is not None:
+            return positive_int(value, name)
     return os.cpu_count() or 1
 
 
@@ -277,7 +281,10 @@ def cmd_sweep(args) -> int:
         x = float(value) if axis == "x" else fixed_x
         k = int(value) if axis == "K" else fixed_k
         t = int(value) if axis == "T" else horizon
-        policies = tuple(PolicySpec.from_config(dict(p, horizon=t) if _needs_horizon(p) else dict(p)) for p in policy_cfgs)
+        policies = tuple(
+            PolicySpec.from_config(dict(p, horizon=t) if p.get("family") in _NEEDS_HORIZON else dict(p))
+            for p in policy_cfgs
+        )
         scenario = _sweep_scenario(policies, k, t, x, runs, seed)
         curve = monte_carlo(scenario, parallelism=parallelism)
         norm = normalized_regret(curve, k, t)
@@ -295,10 +302,6 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _needs_horizon(policy_cfg: dict) -> bool:
-    return policy_cfg.get("family") in ("moss", "klucb", "klucb-switch")
-
-
 def cmd_verify(args) -> int:
     suite = args.suite
     if suite not in SUITES:
@@ -306,8 +309,7 @@ def cmd_verify(args) -> int:
         return 2
     out_dir = args.out_dir or "."
     os.makedirs(out_dir, exist_ok=True)
-    parallelism = args.parallelism or int(os.environ.get("BANDIT_SWITCH_THREADS", 0)) or (os.cpu_count() or 1)
-    reports = run_suite(suite, runs=args.runs, parallelism=parallelism)
+    reports = run_suite(suite, runs=args.runs, parallelism=_parallelism(args, {}))
     path = os.path.join(out_dir, f"verify_{suite}.csv")
     violations = 0
     with open(path, "w", newline="") as fh:

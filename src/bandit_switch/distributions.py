@@ -14,7 +14,7 @@ simulation engines replay any run from a counter-based key.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -277,12 +277,11 @@ class Discrete:
     """Finite distribution on [0, 1] atoms.
 
     Probabilities must sum to 1 within 1e-12; the constructor renormalises
-    the residual and records the adjustment.
+    the residual.
     """
 
     values: tuple
     probs: tuple
-    adjustment: float = field(default=0.0, compare=False)
     kind = "discrete"
 
     def __post_init__(self):
@@ -299,7 +298,6 @@ class Discrete:
             raise ValueError(f"probabilities sum to {total!r}, not 1 within 1e-12")
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "probs", tuple(x / total for x in p))
-        object.__setattr__(self, "adjustment", total - 1.0)
 
     def true_mean(self) -> float:
         return math.fsum(v * p for v, p in zip(self.values, self.probs))

@@ -19,18 +19,22 @@ Families
 The exploration function is a configuration axis: ``log_plus`` is the
 plain positive-part logarithm, ``augmented_phi`` the inflated variant
 x -> ln_+(x (1 + ln_+^2 x)) used by the theoretical anytime indices.
+
+Every index is computed by the kernel in :mod:`._vector`, which the
+vectorised engine shares; this module holds the policy configuration, the
+one-run state, and the one-run entry points :func:`indices` and
+:func:`select_arm`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
+from ._vector import _Ctx, _indices, _tie_break, log_plus, moss_index, phi, switch_threshold, switch_value
 from .distributions import EmpiricalDistribution
-from .kinf import exp_kl_index, kinf, klucb_index
 
 __all__ = [
     "FAMILIES",
@@ -42,7 +46,7 @@ __all__ = [
     "moss_index",
     "switch_threshold",
     "switch_value",
-    "compute_index",
+    "indices",
     "select_arm",
     "update",
 ]
@@ -65,58 +69,6 @@ EXPLORATIONS = ("log_plus", "augmented_phi", "log_t")
 _NEEDS_HORIZON = {"moss", "klucb", "klucb-switch"}
 _SWITCH = {"klucb-switch", "klucb-switch-anytime"}
 _NEEDS_DISTS = {"klucb", "klucb-anytime", "klucb-switch", "klucb-switch-anytime", "imed"}
-
-_EMPIRICAL_EXPONENT = 8.0 / 9.0
-
-
-def log_plus(x: float) -> float:
-    """Positive part of the natural logarithm."""
-    if x <= 0.0:
-        raise ValueError("log_plus requires a positive argument")
-    return max(math.log(x), 0.0)
-
-
-def phi(x: float) -> float:
-    """Augmented exploration x -> ln_+(x (1 + ln_+^2 x)); non-decreasing,
-    and never below ln_+."""
-    if x <= 0.0:
-        raise ValueError("phi requires a positive argument")
-    lp = log_plus(x)
-    return log_plus(x * (1.0 + lp * lp))
-
-
-def _explo(kind: str, x: float) -> float:
-    if kind == "augmented_phi":
-        return phi(x)
-    return log_plus(x)
-
-
-def switch_value(tau: float, k: int, exponent: float = 0.2) -> float:
-    """Switch threshold as a real number, used by the branch test.
-
-    Two conventions, matching how each variant is defined: the exponent
-    8/9 floors the ratio before exponentiation (empirical variant), any
-    other exponent floors the power (theoretical variant, where the
-    threshold is an integer by definition).
-    """
-    if tau < 1 or k < 1:
-        raise ValueError("tau and k must be >= 1")
-    if abs(exponent - _EMPIRICAL_EXPONENT) < 1e-12:
-        return math.floor(tau / k) ** exponent
-    return float(math.floor((tau / k) ** exponent))
-
-
-def switch_threshold(tau: int, k: int, exponent: float = 0.2) -> int:
-    """Integer switch threshold (the real value of :func:`switch_value`,
-    floored for display)."""
-    return int(math.floor(switch_value(tau, k, exponent)))
-
-
-def moss_index(mean: float, n: int, ratio: float, explo: str = "log_plus") -> float:
-    """mean + sqrt(explo(ratio / n) / (2 n)), the minimax bonus template."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return mean + math.sqrt(_explo(explo, ratio / n) / (2.0 * n))
 
 
 @dataclass(frozen=True)
@@ -192,33 +144,30 @@ class PolicySpec:
 
 @dataclass
 class PolicyState:
-    """Per-run sufficient statistics: pull counts, reward sums, empirical
+    """Per-run sufficient statistics: pull counts and reward sums as (1, K)
+    float arrays (the index kernel's one-run shape), empirical
     distributions, and the global step counter.  Owned by a single run."""
 
-    k: int
-    counts: list
-    sums: list
+    counts: np.ndarray
+    sums: np.ndarray
     dists: list
     t: int = 0
-    rng: Optional[np.random.Generator] = None
 
     @classmethod
-    def fresh(cls, k: int, *, bins: int | None = None, rng: Optional[np.random.Generator] = None) -> "PolicyState":
+    def fresh(cls, k: int, *, bins: int | None = None) -> "PolicyState":
         if k < 1:
             raise ValueError("need at least one arm")
         return cls(
-            k=k,
-            counts=[0] * k,
-            sums=[0.0] * k,
+            counts=np.zeros((1, k)),
+            sums=np.zeros((1, k)),
             dists=[EmpiricalDistribution(bins=bins) for _ in range(k)],
-            t=0,
-            rng=rng,
         )
 
     def mean(self, arm: int) -> float:
-        if self.counts[arm] == 0:
+        n = self.counts[0, arm]
+        if n == 0:
             raise ValueError(f"arm {arm} has not been pulled yet")
-        return self.sums[arm] / self.counts[arm]
+        return float(self.sums[0, arm] / n)
 
 
 def update(state: PolicyState, arm: int, reward: float) -> PolicyState:
@@ -232,81 +181,24 @@ def update(state: PolicyState, arm: int, reward: float) -> PolicyState:
     """
     if not 0.0 <= reward <= 1.0:
         raise ValueError(f"reward {reward!r} outside [0, 1]")
-    state.counts[arm] += 1
-    state.sums[arm] += reward
+    state.counts[0, arm] += 1.0
+    state.sums[0, arm] += reward
     state.dists[arm]._push(reward)
     state.t += 1
     return state
 
 
-def _imed_score(state: PolicyState, arm: int) -> float:
-    mu_max = max(state.sums[a] / state.counts[a] for a in range(state.k))
-    mu_max = min(max(mu_max, 1e-9), 1.0 - 1e-9)
-    n = state.counts[arm]
-    return n * kinf(state.dists[arm], mu_max).value + math.log(n)
+def indices(spec: PolicySpec, state: PolicyState) -> np.ndarray:
+    """Index of every arm at the current state, shape (K,), from the kernel
+    shared with the vectorised engine.  For the imed family these are
+    scores to *minimise*; every other family maximises."""
+    if not state.counts.all():
+        raise ValueError(f"arm {int(np.argmin(state.counts))} has not been pulled yet")
+    return _indices(_Ctx(spec), state.counts, state.sums, state.t, state.dists)[0]
 
 
-def compute_index(spec: PolicySpec, state: PolicyState, arm: int) -> float:
-    """Index of ``arm`` at the current state.  For the imed family this is
-    a score to *minimise*; every other family maximises."""
-    n = state.counts[arm]
-    if n < 1:
-        raise ValueError(f"arm {arm} has not been pulled yet")
-    mean = state.sums[arm] / n
-    t = state.t
-    fam = spec.family
-
-    if fam == "ucb":
-        bonus = 2.0 * math.log(t) / n if spec.ucb_classic else math.log(t) / (2.0 * n)
-        return mean + math.sqrt(bonus)
-    if fam == "moss":
-        return moss_index(mean, n, spec.horizon / state.k, spec.exploration)
-    if fam == "moss-anytime":
-        return moss_index(mean, n, t / state.k, spec.exploration)
-    if fam == "klucb":
-        d = _explo(spec.exploration, spec.horizon / (state.k * n)) / n
-        return klucb_index(state.dists[arm], d)
-    if fam == "klucb-anytime":
-        d = _explo(spec.exploration, t / (state.k * n)) / n
-        return klucb_index(state.dists[arm], d)
-    if fam == "klucb-switch":
-        f = switch_value(spec.horizon, state.k, spec.switch_exponent)
-        if n <= f:
-            d = _explo(spec.exploration, spec.horizon / (state.k * n)) / n
-            return klucb_index(state.dists[arm], d)
-        return moss_index(mean, n, spec.horizon / state.k, spec.exploration)
-    if fam == "klucb-switch-anytime":
-        f = switch_value(t, state.k, spec.switch_exponent)
-        if n <= f:
-            d = _explo(spec.exploration, t / (state.k * n)) / n
-            return klucb_index(state.dists[arm], d)
-        return moss_index(mean, n, t / state.k, spec.exploration)
-    if fam == "imed":
-        return _imed_score(state, arm)
-    if fam == "klucb-exp":
-        ratio = (spec.horizon if spec.horizon is not None else t) / state.k
-        d = _explo(spec.exploration, ratio / n) / n
-        return exp_kl_index(max(mean, 1e-12), d)
-    if fam == "klucb-gauss":
-        ratio = (spec.horizon if spec.horizon is not None else t) / state.k
-        return mean + math.sqrt(2.0 * spec.sigma**2 * _explo(spec.exploration, ratio / n) / n)
-    raise AssertionError(f"unhandled family {fam!r}")
-
-
-def select_arm(spec: PolicySpec, state: PolicyState, tie_u: Optional[float] = None) -> int:
+def select_arm(spec: PolicySpec, state: PolicyState, tie_u: float) -> int:
     """Arm choice: argmax of the family index (argmin for imed), ties
-    broken uniformly at random.
-
-    ``tie_u`` injects the tie-break uniform explicitly (the simulation
-    engines do this for replayability); otherwise ``state.rng`` is used.
-    """
-    scores = [compute_index(spec, state, a) for a in range(state.k)]
-    best = min(scores) if spec.family == "imed" else max(scores)
-    tied = [a for a, s in enumerate(scores) if s == best]
-    if len(tied) == 1:
-        return tied[0]
-    if tie_u is None:
-        if state.rng is None:
-            raise ValueError("tie-break needs tie_u or a state rng")
-        tie_u = float(state.rng.random())
-    return tied[int(tie_u * len(tied))]
+    broken by the uniform ``tie_u``: among m tied arms, the i-th in arm
+    order for tie_u in [i/m, (i+1)/m)."""
+    return int(_tie_break(indices(spec, state)[None], tie_u, spec.family == "imed")[0])

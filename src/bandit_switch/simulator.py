@@ -1,12 +1,12 @@
 """Episode execution and Monte-Carlo aggregation of regret curves.
 
 ``run_episode`` is the scalar reference engine: one run, plain Python
-loop, indices computed through :mod:`.policies`.  ``monte_carlo`` fans a
-scenario out over per-run seeds derived from
-``(base_seed, policy ordinal, run ordinal)`` and aggregates pseudo-regret
-at the recorded steps; when the policy/arm combination allows it, runs are
-simulated in vectorised batches by :mod:`._vector`, which reproduces the
-scalar engine run for run.
+loop, indices computed on the run's (1, K) state by the kernel in
+:mod:`._vector`.  ``monte_carlo`` fans a scenario out over per-run seeds
+derived from ``(base_seed, policy ordinal, run ordinal)`` and aggregates
+pseudo-regret at the recorded steps; when the policy/arm combination
+allows it, runs are simulated in vectorised batches by :mod:`._vector`,
+which reproduces the scalar engine run for run.
 
 Regret is pseudo-regret, the gap-weighted count of sub-optimal pulls
 ``sum_a gap_a * N_a(t)``; its expectation is the usual expected regret and
@@ -16,6 +16,7 @@ it has lower Monte-Carlo variance than realised-reward regret.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
@@ -42,6 +43,19 @@ __all__ = [
 
 class ConfigurationError(ValueError):
     """Invalid scenario or experiment configuration."""
+
+
+def positive_int(value, name: str) -> int:
+    """``value`` as an integer >= 1, from an integer or a decimal string;
+    anything else raises a :class:`ConfigurationError` naming ``name``."""
+    if isinstance(value, str):
+        try:
+            value = int(value)
+        except ValueError:
+            pass
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ConfigurationError(f"{name} must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 def default_record_grid(k: int, horizon: int, points: int = 50) -> tuple:
@@ -77,6 +91,8 @@ class Scenario:
         if not self.policies:
             raise ConfigurationError("at least one policy is required")
         object.__setattr__(self, "policies", tuple(self.policies))
+        if self.bins is not None:
+            object.__setattr__(self, "bins", positive_int(self.bins, "bins"))
         grid = tuple(self.record_grid) or default_record_grid(self.bandit.k, self.horizon)
         if list(grid) != sorted(set(grid)):
             raise ConfigurationError("record_grid must be strictly increasing")
@@ -169,7 +185,7 @@ def run_episode(
         trajectory[step - 1] = regret
         actions[step - 1] = a
 
-    pulls = np.array(state.counts, dtype=np.int64)
+    pulls = state.counts[0].astype(np.int64)
     return EpisodeResult(trajectory=trajectory, pulls=pulls, actions=actions)
 
 

@@ -26,7 +26,7 @@ from .distributions import (
     EmpiricalDistribution,
 )
 from .kinf import bernoulli_kl, kinf, kinf_weighted, klucb_index
-from .policies import PolicySpec, PolicyState, compute_index, update
+from .policies import PolicySpec, PolicyState, indices, update
 from .simulator import Scenario, monte_carlo, run_seed
 from . import _vector
 
@@ -303,18 +303,18 @@ def _finite_support(arm):
     return None
 
 
+def _binary_empiricals(n: int) -> list:
+    """The empirical distribution of c ones out of n, for every count c."""
+    return (
+        [EmpiricalDistribution([0.0], [n])]
+        + [EmpiricalDistribution([0.0, 1.0], [n - c, c]) for c in range(1, n)]
+        + [EmpiricalDistribution([1.0], [n])]
+    )
+
+
 def _binary_kinf_table(n: int, mu: float) -> np.ndarray:
     """kinf(empirical of c ones out of n, mu) for every count c."""
-    vals = np.empty(n + 1)
-    for c in range(n + 1):
-        if c == 0:
-            dist = EmpiricalDistribution([0.0], [n])
-        elif c == n:
-            dist = EmpiricalDistribution([1.0], [n])
-        else:
-            dist = EmpiricalDistribution([0.0, 1.0], [n - c, c])
-        vals[c] = kinf(dist, mu).value
-    return vals
+    return np.array([kinf(dist, mu).value for dist in _binary_empiricals(n)])
 
 
 def _resampled_kinf(arm, n: int, mu: float, runs: int, rng: np.random.Generator) -> np.ndarray:
@@ -342,7 +342,8 @@ def kinf_deviation_check(arm, n: int, u_grid, runs: int, seed: int) -> BoundChec
         se = math.sqrt(freq * (1.0 - freq) / runs)
         bound = math.e * (2 * n + 1) * math.exp(-n * u)
         points.append(_point(f"n={n},u={u:g}", freq, bound, se))
-    return BoundCheckReport(f"kinf-deviation[{arm.kind},n={n}]", points, runs)
+    params = ",".join(f"{key}={value}" for key, value in arm.to_config().items() if key != "kind")
+    return BoundCheckReport(f"kinf-deviation[{arm.kind},{params},n={n}]", points, runs)
 
 
 def kinf_integrated_deviation_check(arm, n: int, eps_grid, runs: int, seed: int) -> BoundCheckReport:
@@ -355,17 +356,10 @@ def kinf_integrated_deviation_check(arm, n: int, eps_grid, runs: int, seed: int)
         raise ValueError("integrated deviation checker supports binary arms only")
     rng = np.random.default_rng(seed)
     counts = rng.binomial(n, mu, size=runs)
+    dists = _binary_empiricals(n)
     points = []
     for eps in eps_grid:
-        table = np.empty(n + 1)
-        for c in range(n + 1):
-            if c == 0:
-                dist = EmpiricalDistribution([0.0], [n])
-            elif c == n:
-                dist = EmpiricalDistribution([1.0], [n])
-            else:
-                dist = EmpiricalDistribution([0.0, 1.0], [n - c, c])
-            table[c] = klucb_index(dist, float(eps))
+        table = np.array([klucb_index(dist, float(eps)) for dist in dists])
         shortfall = np.maximum(mu - table[counts], 0.0)
         emp = float(shortfall.mean())
         se = float(shortfall.std(ddof=1) / math.sqrt(runs))
@@ -515,15 +509,10 @@ def index_ordering_check(
             reward = float(bandit.arms[a].quantile(unit_uniform(key, step, CH_REWARD)))
             update(state, a, reward)
             if step in targets:
-                for arm in range(k):
-                    u_kl = compute_index(kl_t, state, arm)
-                    u_m = compute_index(moss_t, state, arm)
-                    u_sw = compute_index(sw_t, state, arm)
-                    worst_known = max(worst_known, u_kl - u_sw, u_sw - u_m)
-                    u_kla = compute_index(kl_a, state, arm)
-                    u_ma = compute_index(moss_a, state, arm)
-                    u_swa = compute_index(sw_a, state, arm)
-                    worst_anytime = max(worst_anytime, u_kla - u_swa, u_swa - u_ma)
+                u_kl, u_sw, u_m = (indices(spec, state) for spec in (kl_t, sw_t, moss_t))
+                worst_known = max(worst_known, float(np.max(u_kl - u_sw)), float(np.max(u_sw - u_m)))
+                u_kl, u_sw, u_m = (indices(spec, state) for spec in (kl_a, sw_a, moss_a))
+                worst_anytime = max(worst_anytime, float(np.max(u_kl - u_sw)), float(np.max(u_sw - u_m)))
                 checked += 1
     points = [
         _point("known-horizon: max(U_kl - U_switch, U_switch - U_moss)", worst_known, tol),
@@ -750,7 +739,7 @@ def run_suite(name: str, runs: int | None = None, parallelism: int = 1) -> list:
         reports = []
         for p in (0.3, 0.5):
             for n in (10, 50):
-                reports.append(kinf_deviation_check(Bernoulli(p), n, _U_GRID, n_runs, seed=91_000 + n))
+                reports.append(kinf_deviation_check(Bernoulli(p), n, _U_GRID, n_runs, seed=91_000 + n + int(p * 10)))
         for n in (5, 20):
             reports.append(
                 kinf_integrated_deviation_check(Bernoulli(0.5), n, (0.05, 0.2), min(n_runs, 10_000), seed=92_000 + n)

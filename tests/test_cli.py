@@ -165,3 +165,20 @@ def test_verify_lambert_suite(tmp_path):
 
 def test_verify_ordering_suite_reduced(tmp_path):
     assert main(["verify", "ordering", "--runs", "5", "--out-dir", str(tmp_path)]) == 0
+
+
+def test_non_integer_bins_exits_2(tmp_path):
+    assert main(["run", write_config(tmp_path, dict(SMALL_CONFIG, bins="abc")), "--out-dir", str(tmp_path)]) == 2
+
+
+def test_zero_bins_exits_2_before_any_run(tmp_path):
+    # rejected even though no policy of the roster reads the distributions
+    cfg = dict(SMALL_CONFIG, bins=0, policies=[{"family": "ucb"}])
+    assert main(["run", write_config(tmp_path, cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out" / "regret.csv").exists()
+
+
+def test_non_integer_threads_env_exits_2_under_run_and_verify(tmp_path, monkeypatch):
+    monkeypatch.setenv("BANDIT_SWITCH_THREADS", "abc")
+    assert main(["run", write_config(tmp_path, SMALL_CONFIG), "--out-dir", str(tmp_path)]) == 2
+    assert main(["verify", "lambert", "--out-dir", str(tmp_path)]) == 2

@@ -14,7 +14,6 @@ import pytest
 from bandit_switch import (
     EmpiricalDistribution,
     bernoulli_kl,
-    exp_kl_index,
     h_derivative,
     h_value,
     kinf,
@@ -22,7 +21,9 @@ from bandit_switch import (
     kinf_witness,
     klucb_index,
 )
+from bandit_switch._vector import exp_klucb
 from bandit_switch.kinf import KinfResult, kl_term
+from oracles import exp_kl_index
 
 
 def random_dist(rng, max_atoms=20):
@@ -341,8 +342,12 @@ def test_kl_term_conventions():
     assert kl_term(0.5, 0.0) == math.inf
 
 
+def exp_index(h: float, d: float) -> float:
+    return float(exp_klucb(np.array([h]), np.array([d]))[0])
+
+
 def test_exp_kl_index_zero_threshold():
-    assert exp_kl_index(0.37, 0.0) == 0.37
+    assert exp_index(0.37, 0.0) == 0.37 == exp_kl_index(0.37, 0.0)
 
 
 def test_exp_kl_index_against_dense_grid():
@@ -351,18 +356,19 @@ def test_exp_kl_index_against_dense_grid():
     grid = np.linspace(h, h * math.exp(1.0 + d), 1_000_000)
     div = h / grid - 1.0 + np.log(grid / h)
     oracle = float(grid[div <= d].max())
-    assert exp_kl_index(h, d) == pytest.approx(oracle, rel=1e-5)
+    assert exp_index(h, d) == pytest.approx(oracle, rel=1e-5)
+    assert abs(exp_index(h, d) - exp_kl_index(h, d)) < 1e-12
 
 
 def test_exp_kl_index_monotone_in_threshold():
-    prev = 0.0
-    for d in np.linspace(0.0, 2.0, 21):
-        cur = exp_kl_index(0.1, float(d))
-        assert cur >= prev - 1e-12
-        prev = cur
+    ds = np.linspace(0.0, 2.0, 21)
+    vals = exp_klucb(np.full(ds.size, 0.1), ds)
+    assert np.all(np.diff(vals) >= -1e-12)
+    for d, v in zip(ds, vals):
+        assert abs(v - exp_kl_index(0.1, float(d))) < 1e-12
 
 
 def test_exp_kl_index_clamped_to_unit_interval():
-    assert exp_kl_index(0.9, 50.0) == 1.0
-    with pytest.raises(ValueError):
-        exp_kl_index(0.0, 0.5)
+    assert exp_index(0.9, 50.0) == 1.0
+    # the smallest mean the kernel passes (it floors empirical means at 1e-12)
+    assert 1e-12 < exp_index(1e-12, 0.5) == pytest.approx(exp_kl_index(1e-12, 0.5), rel=1e-12)

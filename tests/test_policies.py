@@ -11,7 +11,7 @@ from bandit_switch import (
     Bernoulli,
     PolicySpec,
     PolicyState,
-    compute_index,
+    indices,
     log_plus,
     moss_index,
     phi,
@@ -20,6 +20,7 @@ from bandit_switch import (
     switch_value,
     update,
 )
+from bandit_switch import _vector
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +124,7 @@ def test_policy_spec_config_round_trip():
 def test_update_postconditions():
     state = PolicyState.fresh(2)
     update(state, 0, 1.0)
-    assert state.counts[0] == 1
+    assert state.counts[0, 0] == 1
     assert state.mean(0) == 1.0
     update(state, 0, 0.2)
     update(state, 0, 0.4)
@@ -137,17 +138,17 @@ def test_counts_sum_to_time_after_seeded_run():
     rng = np.random.default_rng(20)
     bandit = BanditInstance((Bernoulli(0.7), Bernoulli(0.4), Bernoulli(0.1)))
     spec = PolicySpec("moss-anytime")
-    state = PolicyState.fresh(3, rng=np.random.default_rng(99))
+    tie_rng = np.random.default_rng(99)
+    state = PolicyState.fresh(3)
     for step in range(1, 1001):
-        arm = step - 1 if step <= 3 else select_arm(spec, state)
+        arm = step - 1 if step <= 3 else select_arm(spec, state, float(tie_rng.random()))
         update(state, arm, float(bandit.arms[arm].quantile(rng.random())))
-        assert sum(state.counts) == state.t == step
-        n = state.counts[arm]
-        assert state.sums[arm] / n == pytest.approx(state.dists[arm].mean, abs=1e-12)
+        assert state.counts.sum() == state.t == step
+        assert state.mean(arm) == pytest.approx(state.dists[arm].mean, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# compute_index semantics
+# index semantics
 
 
 def make_state(counts, sums, t):
@@ -164,11 +165,20 @@ def make_state(counts, sums, t):
     return state
 
 
+def random_binary_state(rng, k, extra_pulls):
+    # every arm pulled once, then ``extra_pulls`` pulls of arms drawn with
+    # random (uneven) probabilities, so that pull counts differ widely
+    state = PolicyState.fresh(k)
+    for arm in list(range(k)) + [int(a) for a in rng.choice(k, size=extra_pulls, p=rng.dirichlet(np.ones(k)))]:
+        update(state, arm, float(rng.integers(0, 2)))
+    return state
+
+
 def test_unpulled_arm_raises():
     state = PolicyState.fresh(2)
     update(state, 0, 0.5)
     with pytest.raises(ValueError):
-        compute_index(PolicySpec("ucb"), state, 1)
+        indices(PolicySpec("ucb"), state)
 
 
 def test_switch_equals_moss_branch_exactly():
@@ -177,16 +187,15 @@ def test_switch_equals_moss_branch_exactly():
     mo = PolicySpec("moss", horizon=t_hor)
     state = make_state([30, 8], [21.0, 3.2], 38)
     f = switch_value(t_hor, 2, 0.2)
-    for arm in range(2):
-        assert state.counts[arm] > f
-        assert compute_index(sw, state, arm) == compute_index(mo, state, arm)
+    assert np.all(state.counts > f)
+    assert np.array_equal(indices(sw, state), indices(mo, state))
 
 
 def test_klucb_threshold_zero_returns_mean():
     t_hor = 20
     spec = PolicySpec("klucb", horizon=t_hor)
     state = make_state([10, 10], [7.0, 3.0], 20)
-    assert compute_index(spec, state, 0) == pytest.approx(0.7, abs=1e-12)
+    assert indices(spec, state)[0] == pytest.approx(0.7, abs=1e-12)
 
 
 def test_gauss_index_is_moss_with_matching_constant():
@@ -194,14 +203,13 @@ def test_gauss_index_is_moss_with_matching_constant():
     state = make_state([5, 3], [2.5, 2.1], 8)
     gauss = PolicySpec("klucb-gauss", sigma=0.5, horizon=100)
     mo = PolicySpec("moss", horizon=100)
-    for arm in range(2):
-        assert compute_index(gauss, state, arm) == pytest.approx(compute_index(mo, state, arm), abs=1e-15)
+    assert indices(gauss, state) == pytest.approx(indices(mo, state), abs=1e-15)
 
 
 def test_ucb_classic_flag():
     state = make_state([4, 4], [2.0, 2.0], 8)
-    idx = compute_index(PolicySpec("ucb"), state, 0)
-    idx_classic = compute_index(PolicySpec("ucb", ucb_classic=True), state, 0)
+    idx = indices(PolicySpec("ucb"), state)[0]
+    idx_classic = indices(PolicySpec("ucb", ucb_classic=True), state)[0]
     assert idx == pytest.approx(0.5 + math.sqrt(math.log(8) / 8.0), abs=1e-12)
     assert idx_classic == pytest.approx(0.5 + math.sqrt(2.0 * math.log(8) / 4.0), abs=1e-12)
 
@@ -217,19 +225,13 @@ def test_pinsker_index_ordering_on_random_states():
     sw_a = PolicySpec("klucb-switch-anytime", switch_exponent=8.0 / 9.0)
     for _ in range(30):
         k = int(rng.integers(2, 4))
-        state = PolicyState.fresh(k)
-        for step in range(1, int(rng.integers(k + 1, 120))):
-            arm = int(rng.integers(k))
-            update(state, arm, float(rng.integers(0, 2)))
-        for arm in range(k):
-            if state.counts[arm] == 0:
-                continue
-            u_kl, u_sw, u_m = (compute_index(s, state, arm) for s in (kl_t, sw_t, mo_t))
-            assert u_kl <= u_sw + 1e-9
-            assert u_sw <= u_m + 1e-9
-            u_kla, u_swa, u_ma = (compute_index(s, state, arm) for s in (kl_a, sw_a, mo_a))
-            assert u_kla <= u_swa + 1e-9
-            assert u_swa <= u_ma + 1e-9
+        state = random_binary_state(rng, k, int(rng.integers(0, 117)))
+        u_kl, u_sw, u_m = (indices(s, state) for s in (kl_t, sw_t, mo_t))
+        assert np.all(u_kl <= u_sw + 1e-9)
+        assert np.all(u_sw <= u_m + 1e-9)
+        u_kla, u_swa, u_ma = (indices(s, state) for s in (kl_a, sw_a, mo_a))
+        assert np.all(u_kla <= u_swa + 1e-9)
+        assert np.all(u_swa <= u_ma + 1e-9)
 
 
 def test_anytime_indices_below_horizon_phi_counterparts():
@@ -242,15 +244,10 @@ def test_anytime_indices_below_horizon_phi_counterparts():
     mo_a = PolicySpec("moss-anytime", exploration="augmented_phi")
     mo_t_phi = PolicySpec("moss", horizon=t_hor, exploration="augmented_phi")
     for _ in range(20):
-        state = PolicyState.fresh(2)
-        for step in range(1, int(rng.integers(3, t_hor + 1))):
-            update(state, int(rng.integers(2)), float(rng.integers(0, 2)))
+        state = random_binary_state(rng, 2, int(rng.integers(0, t_hor - 1)))
         assert state.t <= t_hor
-        for arm in range(2):
-            if state.counts[arm] == 0:
-                continue
-            assert compute_index(kl_a, state, arm) <= compute_index(kl_t_phi, state, arm) + 1e-9
-            assert compute_index(mo_a, state, arm) <= compute_index(mo_t_phi, state, arm) + 1e-9
+        assert np.all(indices(kl_a, state) <= indices(kl_t_phi, state) + 1e-9)
+        assert np.all(indices(mo_a, state) <= indices(mo_t_phi, state) + 1e-9)
 
 
 def test_imed_prefers_undersampled_equal_mean_arm():
@@ -258,10 +255,32 @@ def test_imed_prefers_undersampled_equal_mean_arm():
     # with fewer pulls gets the smaller score and is selected
     state = make_state([20, 5], [10.0, 2.5], 25)
     spec = PolicySpec("imed")
-    s0 = compute_index(spec, state, 0)
-    s1 = compute_index(spec, state, 1)
+    s0, s1 = indices(spec, state)
     assert s1 < s0
     assert select_arm(spec, state, tie_u=0.0) == 1
+
+
+@pytest.mark.parametrize(
+    "family,kwargs",
+    [
+        ("klucb", {"horizon": 300}),
+        ("klucb-anytime", {}),
+        ("klucb-switch", {"horizon": 300}),
+        ("klucb-switch-anytime", {"switch_exponent": 8.0 / 9.0}),
+        ("imed", {}),
+    ],
+)
+def test_kernel_empirical_branch_matches_bernoulli_branch(family, kwargs):
+    # on {0, 1} rewards the kinf branch (given the distributions) and the
+    # Bernoulli branch (means only) compute the same divergence
+    spec = PolicySpec(family, **kwargs)
+    ctx = _vector._Ctx(spec)
+    rng = np.random.default_rng(24)
+    for _ in range(40):
+        state = random_binary_state(rng, int(rng.integers(2, 5)), int(rng.integers(0, 250)))
+        empirical = _vector._indices(ctx, state.counts, state.sums, state.t, state.dists)[0]
+        bernoulli = _vector._indices(ctx, state.counts, state.sums, state.t)[0]
+        assert np.max(np.abs(empirical - bernoulli)) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +317,11 @@ def test_determinism_for_fixed_seed_and_rewards():
 
     def run():
         reward_rng = np.random.default_rng(77)
-        state = PolicyState.fresh(2, rng=np.random.default_rng(5))
+        tie_rng = np.random.default_rng(5)
+        state = PolicyState.fresh(2)
         actions = []
         for step in range(1, 200):
-            arm = step - 1 if step <= 2 else select_arm(spec, state)
+            arm = step - 1 if step <= 2 else select_arm(spec, state, float(tie_rng.random()))
             update(state, arm, float(bandit.arms[arm].quantile(reward_rng.random())))
             actions.append(arm)
         return actions

@@ -177,6 +177,22 @@ def test_run_suite_names():
         run_suite("bogus")
 
 
+def test_deviation_suite_names_are_unique_and_match_c4_draws():
+    reports = run_suite("deviation", runs=200)
+    names = [r.bound_name for r in reports]
+    assert len(set(names)) == len(names)
+    bernoulli = [r for r in reports if r.bound_name.startswith("kinf-deviation[")]
+    # the arms, grid and seeds of acceptance criterion C4
+    u_grid = tuple(round(0.05 * i, 2) for i in range(1, 21))
+    expected = [
+        kinf_deviation_check(Bernoulli(p), n, u_grid, 200, seed=91_000 + n + int(p * 10))
+        for p in (0.3, 0.5)
+        for n in (10, 50)
+    ]
+    assert [r.bound_name for r in bernoulli] == [r.bound_name for r in expected]
+    assert [r.points for r in bernoulli] == [r.points for r in expected]
+
+
 def test_run_suite_smoke_lambert():
     reports = run_suite("lambert")
     assert len(reports) == 1
