@@ -5,10 +5,12 @@ Sub-commands
 ------------
 - ``run <config>``: execute one scenario (explicit or preset), writing
   ``regret.csv`` (columns policy,t,mean_regret,stderr,runs) and
-  ``meta.json`` (the fully expanded configuration plus a version stamp).
+  ``meta.json`` (the fully expanded configuration, each policy's engine
+  and run-chunk count, and a version stamp).
 - ``sweep <config>``: execute a one-axis sweep (x, K or T) of a
   gap-profile preset, writing ``sweep.csv``
-  (sweep_param,sweep_value,policy,normalized_regret) and ``meta.json``.
+  (sweep_param,sweep_value,policy,normalized_regret) and ``meta.json``
+  (with each sweep point's engines and run-chunk counts).
 - ``verify <suite>``: run a verification suite and write
   ``verify_<suite>.csv``; exits 0 only with zero violations.
 
@@ -185,10 +187,15 @@ def _stamp() -> dict:
     return stamp
 
 
-def _write_meta(out_dir: str, config: dict) -> None:
+def _write_meta(out_dir: str, config: dict, **extra) -> None:
     with open(os.path.join(out_dir, "meta.json"), "w") as fh:
-        json.dump({"config": config, "stamp": _stamp()}, fh, indent=2)
+        json.dump({"config": config, **extra, "stamp": _stamp()}, fh, indent=2)
         fh.write("\n")
+
+
+def _fanout(curve) -> dict:
+    """Each policy's engine and number of run chunks."""
+    return {name: {"engine": e, "chunks": n} for name, e, n in zip(curve.policies, curve.engines, curve.chunks)}
 
 
 def _parallelism(args, cfg: dict) -> int:
@@ -223,7 +230,7 @@ def cmd_run(args) -> int:
                 writer.writerow(
                     [name, int(t), _fmt(float(curve.mean[p_idx, g_idx])), _fmt(float(curve.stderr[p_idx, g_idx])), curve.runs]
                 )
-    _write_meta(out_dir, _expanded_echo(scenario))
+    _write_meta(out_dir, _expanded_echo(scenario), fanout=_fanout(curve))
     print(f"wrote {os.path.join(out_dir, 'regret.csv')}")
     return 0
 
@@ -292,7 +299,7 @@ def cmd_sweep(args) -> int:
             norm = {curve.policies[0]: norm}
         for name in curve.policies:
             rows.append([axis, value, name, _fmt(float(norm[name]))])
-        expanded_points.append({"sweep_value": value, "scenario": _expanded_echo(scenario)})
+        expanded_points.append({"sweep_value": value, "scenario": _expanded_echo(scenario), "fanout": _fanout(curve)})
     with open(os.path.join(out_dir, "sweep.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sweep_param", "sweep_value", "policy", "normalized_regret"])

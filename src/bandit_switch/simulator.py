@@ -6,7 +6,8 @@ loop, indices computed on the run's (1, K) state by the kernel in
 derived from ``(base_seed, policy ordinal, run ordinal)`` and aggregates
 pseudo-regret at the recorded steps; when the policy/arm combination
 allows it, runs are simulated in vectorised batches by :mod:`._vector`,
-which reproduces the scalar engine run for run.
+which reproduces the scalar engine run for run.  Every (policy, chunk)
+job of one call goes through a single worker pool.
 
 Regret is pseudo-regret, the gap-weighted count of sub-optimal pulls
 ``sum_a gap_a * N_a(t)``; its expectation is the usual expected regret and
@@ -120,13 +121,16 @@ class EpisodeResult:
 @dataclass
 class RegretCurve:
     """Mean pseudo-regret with standard error at recorded steps, one row
-    block per policy."""
+    block per policy, with the engine and the number of run chunks each
+    policy was simulated in."""
 
     policies: tuple
     grid: np.ndarray
     mean: np.ndarray
     stderr: np.ndarray
     runs: int
+    engines: tuple
+    chunks: tuple
 
     def policy_row(self, policy: str) -> tuple:
         i = self.policies.index(policy)
@@ -214,49 +218,68 @@ def _policy_engine(scenario: Scenario, spec: PolicySpec, engine: str) -> str:
     return engine
 
 
+def _chunk_count(runs: int, parallelism: int, engine: str) -> int:
+    """Run chunks for one policy: one per worker for a vector batch,
+    whose per-step numpy overhead is paid once per chunk, and a finer
+    split for scalar runs, whose cost is linear in runs, to balance
+    load."""
+    if parallelism == 1:
+        return 1
+    return min(parallelism if engine == "vector" else 4 * parallelism, runs)
+
+
 def monte_carlo(scenario: Scenario, parallelism: int = 1, engine: str = "auto") -> RegretCurve:
     """Run the scenario; aggregate per-policy mean regret and stderr.
 
     Per-run seeds are pre-assigned from (base_seed, policy, run), so the
     result does not depend on ``parallelism`` or on completion order.
+    All (policy, chunk) jobs share one pool of at most ``parallelism``
+    workers; each policy's rows are stacked in run order.
     """
     if engine not in ("auto", "scalar", "vector"):
         raise ConfigurationError(f"unknown engine {engine!r}")
-    parallelism = max(1, int(parallelism))
+    parallelism = positive_int(parallelism, "parallelism")
     grid = scenario.record_grid
     names = scenario.policy_names
-    n_pol = len(scenario.policies)
-    mean = np.empty((n_pol, len(grid)))
-    stderr = np.empty((n_pol, len(grid)))
-
+    runs = scenario.runs
+    engines, chunks, jobs = [], [], []
     for p_idx, spec in enumerate(scenario.policies):
         eng = _policy_engine(scenario, spec, engine)
-        seeds = [run_seed(scenario.base_seed, p_idx, r) for r in range(scenario.runs)]
-        n_chunks = min(parallelism * 4, scenario.runs) if parallelism > 1 else 1
-        bounds = np.linspace(0, scenario.runs, n_chunks + 1).astype(int)
-        jobs = [
+        seeds = [run_seed(scenario.base_seed, p_idx, r) for r in range(runs)]
+        bounds = np.linspace(0, runs, _chunk_count(runs, parallelism, eng) + 1).astype(int)
+        own = [
             (scenario.bandit, spec, scenario.horizon, grid, seeds[lo:hi], eng, scenario.bins)
             for lo, hi in zip(bounds[:-1], bounds[1:])
             if hi > lo
         ]
-        if parallelism > 1 and len(jobs) > 1:
-            with ProcessPoolExecutor(max_workers=parallelism) as pool:
-                parts = list(pool.map(_chunk_worker, jobs))
-        else:
-            parts = [_chunk_worker(j) for j in jobs]
-        regrets = np.vstack(parts)
+        engines.append(eng)
+        chunks.append(len(own))
+        jobs.extend(own)
+
+    width = min(parallelism, len(jobs))
+    if width > 1:
+        with ProcessPoolExecutor(max_workers=width) as pool:
+            parts = list(pool.map(_chunk_worker, jobs))
+    else:
+        parts = [_chunk_worker(j) for j in jobs]
+
+    mean = np.empty((len(chunks), len(grid)))
+    stderr = np.zeros((len(chunks), len(grid)))
+    ends = np.cumsum(chunks)
+    for p_idx, (lo, hi) in enumerate(zip(ends - chunks, ends)):
+        regrets = np.vstack(parts[lo:hi])
         mean[p_idx] = regrets.mean(axis=0)
-        if scenario.runs > 1:
-            stderr[p_idx] = regrets.std(axis=0, ddof=1) / math.sqrt(scenario.runs)
-        else:
-            stderr[p_idx] = 0.0
+        if runs > 1:
+            stderr[p_idx] = regrets.std(axis=0, ddof=1) / math.sqrt(runs)
 
     return RegretCurve(
         policies=names,
         grid=np.asarray(grid, dtype=np.int64),
         mean=mean,
         stderr=stderr,
-        runs=scenario.runs,
+        runs=runs,
+        engines=tuple(engines),
+        chunks=tuple(chunks),
     )
 
 

@@ -57,6 +57,39 @@ def test_run_is_reproducible_and_meta_round_trips(tmp_path):
     assert (out1 / "regret.csv").read_bytes() == (out3 / "regret.csv").read_bytes()
 
 
+def test_meta_records_engine_and_chunks_per_policy(tmp_path):
+    # a binned continuous arm sends klucb-anytime to the scalar engine
+    mixed = {
+        "bandit": {"arms": [{"kind": "truncgauss", "mean": 0.7, "sigma": 0.2}, {"kind": "bernoulli", "p": 0.4}]},
+        "horizon": 40,
+        "runs": 7,
+        "seed": 5,
+        "bins": 20,
+        "policies": [{"family": "ucb", "label": "UCB"}, {"family": "klucb-anytime", "label": "KL-UCB"}],
+    }
+    cfg = write_config(tmp_path, mixed)
+    outs = {p: tmp_path / f"p{p}" for p in (1, 2)}
+    for p, out in outs.items():
+        assert main(["run", cfg, "--out-dir", str(out), "--parallelism", str(p)]) == 0
+    assert (outs[1] / "regret.csv").read_bytes() == (outs[2] / "regret.csv").read_bytes()
+    fanout = {p: json.loads((out / "meta.json").read_text())["fanout"] for p, out in outs.items()}
+    assert fanout[1] == {"UCB": {"engine": "vector", "chunks": 1}, "KL-UCB": {"engine": "scalar", "chunks": 1}}
+    assert fanout[2] == {"UCB": {"engine": "vector", "chunks": 2}, "KL-UCB": {"engine": "scalar", "chunks": 7}}
+
+
+def test_sweep_meta_records_fanout_per_point(tmp_path):
+    cfg = write_config(tmp_path, {"preset": "fig2-left", "values": [0.5, 1.0], "runs": 3, "horizon": 200})
+    outs = {p: tmp_path / f"p{p}" for p in (1, 2)}
+    for p, out in outs.items():
+        assert main(["sweep", cfg, "--out-dir", str(out), "--parallelism", str(p)]) == 0
+    assert (outs[1] / "sweep.csv").read_bytes() == (outs[2] / "sweep.csv").read_bytes()
+    points = json.loads((outs[2] / "meta.json").read_text())["config"]["points"]
+    assert [pt["sweep_value"] for pt in points] == [0.5, 1.0]
+    for pt in points:
+        assert len(pt["fanout"]) == 5
+        assert all(f == {"engine": "vector", "chunks": 2} for f in pt["fanout"].values())
+
+
 def test_runs_override_flag(tmp_path):
     cfg = write_config(tmp_path, SMALL_CONFIG)
     out = tmp_path / "out"

@@ -164,6 +164,66 @@ def test_parallel_equals_serial():
     assert np.array_equal(serial.stderr, parallel.stderr)
 
 
+MIXED = BanditInstance((TruncatedGaussian(0.7, 0.2), Bernoulli(0.4)))
+MIXED_ROSTER = (PolicySpec("ucb"), PolicySpec("klucb-anytime"), PolicySpec("moss-anytime"))
+
+
+@pytest.mark.parametrize("runs", [7, 1])
+def test_mixed_roster_is_invariant_to_parallelism(runs):
+    # klucb-anytime takes the scalar engine (binned continuous arm) and
+    # shares the pool with the vector policies around it
+    scenario = Scenario(bandit=MIXED, horizon=40, policies=MIXED_ROSTER, runs=runs, base_seed=808, bins=20)
+    curves = [monte_carlo(scenario, parallelism=p) for p in (1, 2, 3)]
+    for curve in curves[1:]:
+        assert np.array_equal(curve.mean, curves[0].mean)
+        assert np.array_equal(curve.stderr, curves[0].stderr)
+    assert all(c.engines == ("vector", "scalar", "vector") for c in curves)
+
+
+def test_chunk_counts_follow_engine_and_parallelism():
+    scenario = Scenario(bandit=MIXED, horizon=20, policies=MIXED_ROSTER, runs=7, base_seed=9, bins=20)
+    # one chunk per worker for a vector batch, 4 per worker (at most one
+    # per run) for scalar runs, one chunk in all at parallelism 1
+    assert monte_carlo(scenario, parallelism=1).chunks == (1, 1, 1)
+    assert monte_carlo(scenario, parallelism=2).chunks == (2, 7, 2)
+    assert monte_carlo(scenario, parallelism=3).chunks == (3, 7, 3)
+    one_run = Scenario(bandit=MIXED, horizon=20, policies=MIXED_ROSTER, runs=1, base_seed=9, bins=20)
+    assert monte_carlo(one_run, parallelism=3).chunks == (1, 1, 1)
+
+
+@pytest.mark.parametrize("parallelism,pools", [(2, 1), (1, 0)])
+def test_one_pool_per_call(monkeypatch, parallelism, pools):
+    from bandit_switch import simulator
+
+    opened = []
+
+    class CountingPool(simulator.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(simulator, "ProcessPoolExecutor", CountingPool)
+    specs = (
+        PolicySpec("ucb"),
+        PolicySpec("moss-anytime"),
+        PolicySpec("klucb-anytime"),
+        PolicySpec("klucb-switch-anytime"),
+        PolicySpec("imed"),
+    )
+    scenario = Scenario(bandit=BERN3, horizon=50, policies=specs, runs=6, base_seed=4)
+    curve = monte_carlo(scenario, parallelism=parallelism)
+    assert len(opened) == pools
+    assert all(width <= parallelism for width in opened)
+    assert curve.engines == ("vector",) * 5
+
+
+@pytest.mark.parametrize("bad", [0, -3, 1.5, "abc", True])
+def test_monte_carlo_rejects_bad_parallelism(bad):
+    scenario = Scenario(bandit=BERN3, horizon=10, policies=(PolicySpec("ucb"),), runs=2, base_seed=1)
+    with pytest.raises(ConfigurationError, match="parallelism"):
+        monte_carlo(scenario, parallelism=bad)
+
+
 def test_scalar_engine_forced_matches_vector():
     spec = PolicySpec("klucb-switch-anytime")
     scenario = Scenario(bandit=BERN3, horizon=120, policies=(spec,), runs=4, base_seed=77)
