@@ -13,8 +13,11 @@ closed-form derivative, so a safeguarded Newton iteration on ``H'`` with a
 bisection fallback converges quickly and never escapes its bracket.
 
 The upper-confidence index used by the KL-UCB family is the inverse map
-``sup { mu : kinf(nu, mu) <= threshold }``, computed by bisection over the
-Pinsker bracket ``[mean, mean + sqrt(threshold / 2)]``.
+``sup { mu : kinf(nu, mu) <= threshold }``, computed by a safeguarded
+Newton iteration in ``y = -ln(1 - mu)``: by the envelope identity the
+slope of ``kinf`` in ``y`` is the maximiser ``lam*`` that each solve
+returns, and the iteration starts at the Pinsker cap
+``mean + sqrt(threshold / 2)``, at or above the root.
 """
 
 from __future__ import annotations
@@ -44,6 +47,10 @@ _LAMBDA_CAP = 1.0 - 1e-12
 _GRAD_TOL = 1e-11
 _BRACKET_TOL = 1e-12
 _MAX_ITER = 100
+# klucb_index works in y = -ln(1 - mu): it stops once its bracket is
+# narrower than _INDEX_TOL in mu, and an index above 1 - 1e-12 counts as 1.
+_INDEX_TOL = 1e-13
+_Y_SATURATED = -math.log(1e-12)
 
 
 @dataclass(frozen=True)
@@ -233,10 +240,16 @@ def klucb_index(nu: EmpiricalDistribution, threshold: float) -> float:
     """Largest mean compatible with ``nu`` at the given divergence budget:
     sup { mu in [0, 1] : kinf(nu, mu) <= threshold }.
 
-    Bisection over the Pinsker bracket [mean, mean + sqrt(threshold/2)];
-    if the divergence at the bracket cap still fits the budget the search
-    re-brackets toward 1.  The value 1 itself is attainable only for the
-    point mass at 1.
+    Safeguarded Newton in y = -ln(1 - mu), where the envelope identity
+    gives the slope d kinf / dy = lambda* of each solve.  The iteration
+    starts at the Pinsker cap mean + sqrt(threshold / 2), which lies at or
+    above the root, and keeps a bracket [lo, hi] from the sign of
+    kinf - threshold; a Newton step that would leave it becomes a
+    bisection step, and a step shorter than the tolerance is pushed just
+    past the root so that the bracket closes from both sides to 1e-13 in
+    mu.  The answer is the bracket's feasible end, so
+    kinf(nu, index) <= threshold.  A root within 1e-12 of 1 returns 1,
+    which is exact only for the point mass at 1.
     """
     if threshold < 0.0:
         raise ValueError("threshold must be non-negative")
@@ -245,22 +258,23 @@ def klucb_index(nu: EmpiricalDistribution, threshold: float) -> float:
         return m
     if m >= 1.0:
         return 1.0
-    cap = min(1.0, m + math.sqrt(0.5 * threshold))
-    if cap < 1.0 and kinf(nu, cap).value <= threshold:
-        lo, hi = cap, 1.0
-    else:
-        lo, hi = m, cap
-    for _ in range(80):
-        if hi - lo < 1e-13:
-            break
-        mid = 0.5 * (lo + hi)
-        if mid <= 0.0 or mid >= 1.0:
-            break
-        if kinf(nu, mid).value <= threshold:
-            lo = mid
+    lo = -math.log1p(-m)  # kinf = 0 there
+    hi = _Y_SATURATED
+    cap = m + math.sqrt(0.5 * threshold)
+    y = min(-math.log1p(-cap), hi) if cap < 1.0 else hi
+    for _ in range(_MAX_ITER):
+        res = kinf(nu, -math.expm1(-y))
+        excess = res.value - threshold
+        if excess <= 0.0:
+            lo = y
         else:
-            hi = mid
-    if 1.0 - lo <= 1e-12:
-        # the budget admits every mean below 1 (huge threshold)
-        return 1.0
-    return lo
+            hi = y
+        if math.exp(-lo) - math.exp(-hi) <= _INDEX_TOL:  # mu(hi) - mu(lo)
+            break
+        # lambda* = 0 only where mu rounds to the mean; bisect there
+        y_next = y - excess / res.lambda_star if res.lambda_star > 0.0 else lo
+        nudge = 0.5 * _INDEX_TOL * math.exp(y)  # half the tolerance, as a step in y
+        if abs(y_next - y) < nudge:
+            y_next += -nudge if excess > 0.0 else nudge
+        y = y_next if lo < y_next < hi else 0.5 * (lo + hi)
+    return 1.0 if lo >= _Y_SATURATED else -math.expm1(-lo)

@@ -27,7 +27,7 @@ from .distributions import (
 )
 from .kinf import bernoulli_kl, kinf, kinf_weighted, klucb_index
 from .policies import PolicySpec, PolicyState, indices, update
-from .simulator import Scenario, monte_carlo, run_seed
+from .simulator import Scenario, monte_carlo, positive_int, run_seed
 from . import _vector
 
 __all__ = [
@@ -184,30 +184,48 @@ def _random_empirical(rng: np.random.Generator, max_atoms: int = 20) -> Empirica
     return EmpiricalDistribution(vals, counts)
 
 
+# Bytes of the (rows x atoms) float64 block the grid oracle evaluates at a
+# time: small enough to stay in a core's cache, so that pooled workers do
+# not compete for memory bandwidth.
+_ORACLE_BLOCK_BYTES = 1 << 20
+
+
 def _grid_oracle_chunk(args):
+    """Largest (|newton - grid|, label) over the jobs of one worker; equal
+    gaps go to the larger label, so the overall maximum does not depend on
+    how the jobs were split."""
     jobs, grid_points = args
     lam_grid = np.linspace(0.0, 1.0, grid_points)
-    chunk_size = 200_000
-    worst = 0.0
-    worst_label = ""
+    worst = (0.0, "")
     with np.errstate(divide="ignore"):
         for label, values, counts, mu in jobs:
             dist = EmpiricalDistribution(values, counts)
             res = kinf(dist, mu)
             z = (dist.values - mu) / (1.0 - mu)
             w = dist.weights
+            rows = max(1, _ORACLE_BLOCK_BYTES // (8 * z.size))
+            buf = np.empty((rows, z.size))
             best = -math.inf
-            buf = np.empty((chunk_size, z.size))
-            for lo in range(0, grid_points, chunk_size):
-                lam = lam_grid[lo : lo + chunk_size]
+            for lo in range(0, grid_points, rows):
+                lam = lam_grid[lo : lo + rows]
                 view = buf[: lam.size]
                 np.multiply.outer(lam, -z, out=view)
                 np.log1p(view, out=view)
                 best = max(best, float((view @ w).max()))
-            gap = abs(res.value - best)
-            if gap > worst:
-                worst, worst_label = gap, label
-    return worst, worst_label
+            worst = max(worst, (abs(res.value - best), label))
+    return worst
+
+
+def _balanced_splits(jobs, parts: int) -> list:
+    """``jobs`` cut into at most ``parts`` lists of about equal atom count:
+    largest first, each job to the currently lightest list."""
+    splits = [[] for _ in range(min(parts, len(jobs)))]
+    loads = [0] * len(splits)
+    for job in sorted(jobs, key=lambda job: len(job[1]), reverse=True):
+        i = loads.index(min(loads))
+        splits[i].append(job)
+        loads[i] += len(job[1])
+    return splits
 
 
 def kinf_grid_oracle_check(
@@ -219,7 +237,10 @@ def kinf_grid_oracle_check(
     parallelism: int = 2,
 ) -> BoundCheckReport:
     """Newton solver versus brute-force maximisation of the dual objective
-    on a uniform lambda grid."""
+    on a uniform lambda grid.  With ``parallelism`` > 1 the jobs run in one
+    worker pool, one atom-balanced split per worker; the result does not
+    depend on the split."""
+    parallelism = positive_int(parallelism, "parallelism")
     rng = np.random.default_rng(seed)
     jobs = []
     for i in range(n_dists):
@@ -228,13 +249,11 @@ def kinf_grid_oracle_check(
         for _ in range(mus_per_dist):
             mu = float(rng.uniform(max(m - 0.05, 1e-3), 0.999))
             jobs.append((f"dist {i}, mu={mu:.4f}", dist.values, dist.counts, mu))
-    parallelism = max(1, parallelism)
     if parallelism > 1 and len(jobs) > 8:
         from concurrent.futures import ProcessPoolExecutor
 
-        bounds = np.linspace(0, len(jobs), parallelism * 2 + 1).astype(int)
-        splits = [(jobs[lo:hi], grid_points) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
+        splits = [(split, grid_points) for split in _balanced_splits(jobs, parallelism)]
+        with ProcessPoolExecutor(max_workers=len(splits)) as pool:
             results = list(pool.map(_grid_oracle_chunk, splits))
     else:
         results = [_grid_oracle_chunk((jobs, grid_points))]
@@ -730,7 +749,7 @@ def run_suite(name: str, runs: int | None = None, parallelism: int = 1) -> list:
     """Run one named verification suite; returns its reports."""
     if name == "kinf-oracle":
         return [
-            kinf_grid_oracle_check(n_dists=runs or 500),
+            kinf_grid_oracle_check(n_dists=runs or 500, parallelism=parallelism),
             bernoulli_identity_check(),
             regularity_check(samples=runs * 20 if runs else 10_000),
         ]

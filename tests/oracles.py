@@ -4,6 +4,8 @@ library itself."""
 
 import math
 
+from bandit_switch.kinf import kinf
+
 
 def exp_kl_index(mean_hat: float, threshold: float) -> float:
     """Upper-confidence mean for the exponential family, clamped to [0, 1],
@@ -34,3 +36,33 @@ def exp_kl_index(mean_hat: float, threshold: float) -> float:
         else:
             hi = mid
     return min(lo, 1.0)
+
+
+def klucb_index(nu, threshold: float) -> float:
+    """sup { mu : kinf(nu, mu) <= threshold } by bisection in mu over the
+    Pinsker bracket [mean, mean + sqrt(threshold / 2)], re-bracketed toward
+    1 when the divergence at the cap still fits the budget; a result within
+    1e-12 of 1 counts as 1."""
+    if threshold < 0.0:
+        raise ValueError("threshold must be non-negative")
+    m = nu.mean
+    if threshold == 0.0:
+        return m
+    if m >= 1.0:
+        return 1.0
+    cap = min(1.0, m + math.sqrt(0.5 * threshold))
+    if cap < 1.0 and kinf(nu, cap).value <= threshold:
+        lo, hi = cap, 1.0
+    else:
+        lo, hi = m, cap
+    for _ in range(80):
+        if hi - lo < 1e-13:
+            break
+        mid = 0.5 * (lo + hi)
+        if mid <= 0.0 or mid >= 1.0:
+            break
+        if kinf(nu, mid).value <= threshold:
+            lo = mid
+        else:
+            hi = mid
+    return 1.0 if 1.0 - lo <= 1e-12 else lo

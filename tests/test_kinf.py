@@ -6,6 +6,7 @@ evaluation, central finite differences, dense grids, and the closed-form
 stationary point for two-atom distributions.
 """
 
+import importlib
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from bandit_switch import (
 )
 from bandit_switch._vector import exp_klucb
 from bandit_switch.kinf import KinfResult, kl_term
+import oracles
 from oracles import exp_kl_index
 
 
@@ -315,6 +317,53 @@ def test_klucb_index_point_mass_at_one():
 def test_klucb_index_saturates_at_one_for_huge_threshold():
     dist = EmpiricalDistribution([0.2, 0.6], [1, 1])
     assert klucb_index(dist, 50.0) == 1.0
+
+
+def _inversion_corpus(rng):
+    """(distribution, budget) pairs: 1-60 random atoms, some with atoms
+    added at 0 and/or 1, point masses, {0, 1} laws, budgets from e^-8 to
+    e^2, and budgets that saturate the index at 1."""
+    cases = []
+    for i in range(400):
+        kind = i % 8
+        if kind == 0:
+            vals = [0.0] if i % 16 == 0 else [float(rng.random())]
+        elif kind == 1:
+            vals = [0.0, 1.0]
+        else:
+            vals = rng.random(int(rng.integers(1, 61)))
+            if kind in (2, 4):
+                vals = np.append(vals, 0.0)
+            if kind in (3, 4):
+                vals = np.append(vals, 1.0)
+        vals = np.unique(vals)
+        dist = EmpiricalDistribution(vals, rng.integers(1, 11, size=vals.size))
+        cases.append((dist, math.exp(rng.uniform(-8.0, 2.0))))
+    cases += [(EmpiricalDistribution([0.2, 0.6], [1, 1]), 50.0), (random_dist(rng), 40.0)]
+    return cases
+
+
+def test_klucb_index_newton_matches_bisection_oracle(monkeypatch):
+    kinf_module = importlib.import_module("bandit_switch.kinf")
+    solves = []
+
+    def recording(values, weights, mu):
+        result = kinf_weighted(values, weights, mu)
+        solves.append(result)
+        return result
+
+    monkeypatch.setattr(kinf_module, "kinf_weighted", recording)
+    saturated = 0
+    for dist, d in _inversion_corpus(np.random.default_rng(11)):
+        solves.clear()
+        idx = klucb_index(dist, d)
+        assert all(res.converged for res in solves), (dist.values, d)
+        assert abs(idx - oracles.klucb_index(dist, d)) <= 1e-10, (dist.values, d)
+        if idx < 1.0:
+            assert kinf(dist, idx).value <= d
+        else:
+            saturated += 1
+    assert saturated >= 2
 
 
 # ---------------------------------------------------------------------------

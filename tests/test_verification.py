@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from bandit_switch import Bernoulli, TruncatedGaussian
+from bandit_switch import Bernoulli, ConfigurationError, TruncatedGaussian
 from bandit_switch.kinf import bernoulli_kl, kinf_weighted
 from bandit_switch.verification import (
     BOUND_IDS,
@@ -18,6 +18,7 @@ from bandit_switch.verification import (
     index_ordering_check,
     kinf_concentration_check,
     kinf_deviation_check,
+    kinf_grid_oracle_check,
     kinf_integrated_deviation_check,
     lambert_residual_check,
     lambert_w,
@@ -165,6 +166,42 @@ def test_index_ordering_small():
     report = index_ordering_check(runs=10, checkpoints_per_run=5, horizon=200)
     assert report.ok
     assert report.values["checkpoints"] == 50
+
+
+# ---------------------------------------------------------------------------
+# grid oracle
+
+
+@pytest.mark.parametrize("bad", [0, -3, 1.5, "abc", True])
+def test_grid_oracle_rejects_bad_parallelism(bad):
+    with pytest.raises(ConfigurationError, match="parallelism"):
+        kinf_grid_oracle_check(n_dists=3, grid_points=1000, parallelism=bad)
+
+
+def test_grid_oracle_does_not_depend_on_parallelism():
+    serial = kinf_grid_oracle_check(n_dists=12, grid_points=100_000, parallelism=1)
+    pooled = kinf_grid_oracle_check(n_dists=12, grid_points=100_000, parallelism=2)
+    assert serial.ok
+    assert serial.values["worst_gap"] == pooled.values["worst_gap"]
+    assert serial.points[0].label == pooled.points[0].label
+
+
+@pytest.mark.parametrize("parallelism,pools", [(2, 1), (1, 0)])
+def test_kinf_oracle_suite_passes_parallelism(monkeypatch, parallelism, pools):
+    import concurrent.futures
+
+    opened = []
+
+    class CountingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            opened.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+    reports = run_suite("kinf-oracle", runs=12, parallelism=parallelism)
+    assert all(report.ok for report in reports)
+    assert len(opened) == pools
+    assert all(width <= parallelism for width in opened)
 
 
 # ---------------------------------------------------------------------------
