@@ -4,20 +4,19 @@
 state arrays of shape (runs, arms): the vectorised engine
 :func:`simulate` calls it on a batch of independent runs, the scalar
 reference engine (:func:`.policies.select_arm`, driven by
-:mod:`.simulator`) on one run, shape (1, arms).  Because rewards and
-tie-breaks come from the counter-based hash in :mod:`._rng`, each run's
-trajectory is the same whether it is simulated here, in another batch
-split, or one run at a time.
+:mod:`.simulator`) on one run, shape (1, arms).  Rewards and tie-breaks
+come from the counter-based hash in :mod:`._rng`, and the Bernoulli and
+exponential KL are inverted by one Newton iteration, :func:`_newton_down`,
+stopped element by element; so each index, and each run's trajectory, is
+the same whether it is computed here, in another batch split, or one run
+at a time.
 
 The empirical-likelihood families (klucb*, imed) take one of two branches,
 chosen by the input.  Given one run's empirical distributions, they use
 the divergence ``kinf`` on them, arm by arm, for any support.  Without
 them every arm must be supported on {0, 1}, so that the empirical
-distribution reduces to its mean: the divergence is then the Bernoulli
-KL, inverted by a guarded Newton iteration in the variable
-y = -ln(1 - mu), where the problem is concave and well-conditioned all the
-way to mu -> 1.  The batch engine takes the second branch, hence
-:func:`supports`.
+distribution reduces to its mean and the divergence to the Bernoulli KL.
+The batch engine takes the second branch, hence :func:`supports`.
 """
 
 from __future__ import annotations
@@ -101,64 +100,63 @@ def switch_threshold(tau: int, k: int, exponent: float = 0.2) -> int:
     return int(math.floor(switch_value(tau, k, exponent)))
 
 
-def bern_klucb(p: np.ndarray, d: np.ndarray, iters: int = 40) -> np.ndarray:
-    """Elementwise sup { mu : kl(p, mu) <= d } for Bernoulli KL.
+def _newton_down(f, x, *args) -> np.ndarray:
+    """Elementwise root of a convex increasing function by Newton from a
+    start ``x`` at or above it; ``f(x, *args)`` is the step value / slope,
+    ``args`` per-element parameters.  Exact steps from above are positive
+    and shrink, so each element is frozen on its own after a step below
+    1e-13 or one that does not shrink, which marks the floating-point
+    floor.  An element not frozen in 100 iterations, or a non-finite
+    result, raises."""
+    going = np.ones(x.shape, dtype=bool)
+    prev = np.full_like(x, np.inf)
+    for _ in range(100):
+        step = f(x, *args)
+        x = x - step * going
+        going &= (step >= 1e-13) & (step < prev)
+        prev = step
+        if not going.any():
+            break
+    bad = going | ~np.isfinite(x)
+    if bad.any():
+        i = np.argmax(bad)
+        raise RuntimeError(f"Newton inversion did not converge at parameters {[float(a[i]) for a in args]}")
+    return x
 
-    Newton in y = -ln(1 - mu), where the objective
-    h(y) = kl(p, mu(y)) - d is increasing and convex with the simple
-    derivative h'(y) = (mu - p)/mu.  The start
-    y0 = (d - p ln p - q ln q)/q sits at or above the root (it solves the
-    relaxation that drops the -p ln(mu) <= 0 term), so the iteration
-    decreases monotonically and converges quadratically.
-    """
-    out = p.copy()
-    act = d > 0.0
-    if not act.any():
-        return out
-    ones = act & (p >= 1.0)
-    out[ones] = 1.0
-    zeros = act & (p <= 0.0)
-    if zeros.any():
-        out[zeros] = -np.expm1(-d[zeros])
-    gen = act & (p > 0.0) & (p < 1.0)
+
+def bern_klucb(p: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Elementwise sup { mu : kl(p, mu) <= d } for Bernoulli KL, by Newton in
+    y = -ln(1 - mu): kl(p, mu(y)) - d is increasing and convex with slope
+    (mu - p)/mu, and y0 = (d - p ln p - q ln q)/q, which solves the
+    relaxation that drops the -p ln(mu) <= 0 term, is at or above the root."""
+
+    def step(y, p, lp, q, qlq, d):
+        mu = 1.0 - np.exp(-y)
+        return (p * (lp - np.log(mu)) + qlq + q * y - d) / ((mu - p) / mu)
+
+    out = np.where(p > 0.0, p, -np.expm1(-d))  # kl(0, mu) = -ln(1 - mu); p = 1 stays 1
+    gen = (d > 0.0) & (p > 0.0) & (p < 1.0)
     if gen.any():
-        pg = p[gen]
-        dg = d[gen]
-        qg = 1.0 - pg
-        lp = np.log(pg)
-        lq = np.log(qg)
-        y = (dg - pg * lp - qg * lq) / qg
-        for _ in range(iters):
-            mu = 1.0 - np.exp(-y)
-            h = pg * (lp - np.log(mu)) + qg * lq + qg * y - dg
-            hp = (mu - pg) / mu
-            step = h / np.maximum(hp, 1e-300)
-            y = y - step
-            if np.max(np.abs(step)) < 1e-13:
-                break
-        out[gen] = 1.0 - np.exp(-y)
+        p, d = p[gen], d[gen]
+        q = 1.0 - p
+        lp, qlq = np.log(p), q * np.log(q)
+        out[gen] = 1.0 - np.exp(-_newton_down(step, (d - p * lp - qlq) / q, p, lp, q, qlq, d))
     return out
 
 
-def exp_klucb(h: np.ndarray, d: np.ndarray, iters: int = 30) -> np.ndarray:
-    """Elementwise largest m with h/m - 1 + ln(m/h) <= d, clamped to [0,1].
+def exp_klucb(h: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Elementwise largest m with h/m - 1 + ln(m/h) <= d, clamped to [0,1]:
+    Newton in u = ln(m/h) on the convex increasing e^-u - 1 + u - d, from
+    u0 = 1 + d, above the root."""
 
-    Newton in u = ln(m/h) on the convex increasing map e^-u - 1 + u - d,
-    started from u0 = 1 + d (above the root), hence monotone decreasing.
-    """
-    u = np.full_like(h, 1.0)
-    u += d
-    act = d > 0.0
-    for _ in range(iters):
+    def step(u, d):
         eu = np.exp(-u)
-        g = eu - 1.0 + u - d
-        gp = 1.0 - eu
-        step = np.where(act & (gp > 0.0), g / np.maximum(gp, 1e-300), 0.0)
-        u = u - step
-        if np.max(np.abs(step)) < 1e-13:
-            break
-    m = h * np.exp(np.where(act, u, 0.0))
-    return np.minimum(m, 1.0)
+        return (eu - 1.0 + u - d) / (1.0 - eu)
+
+    u = np.zeros_like(h)
+    act = d > 0.0
+    u[act] = _newton_down(step, 1.0 + d[act], d[act])
+    return np.minimum(h * np.exp(u), 1.0)
 
 
 def _bern_kl_vec(p: np.ndarray, q: np.ndarray) -> np.ndarray:

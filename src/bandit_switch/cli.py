@@ -139,19 +139,20 @@ def _scenario_from_config(cfg: dict) -> Scenario:
     try:
         bandit = BanditInstance.from_config(cfg["bandit"])
         policies = tuple(PolicySpec.from_config(p) for p in cfg["policies"])
+        horizon = positive_int(cfg["horizon"], "horizon")
         grid = cfg.get("record_grid", "geometric")
         if grid == "geometric":
-            grid = default_record_grid(bandit.k, int(cfg["horizon"]))
+            grid = default_record_grid(bandit.k, horizon)
         elif grid == "full":
-            grid = tuple(range(1, int(cfg["horizon"]) + 1))
+            grid = tuple(range(1, horizon + 1))
         else:
-            grid = tuple(int(t) for t in grid)
+            grid = tuple(positive_int(t, "record_grid entry") for t in grid)
         return Scenario(
             bandit=bandit,
-            horizon=int(cfg["horizon"]),
+            horizon=horizon,
             policies=policies,
-            runs=int(cfg["runs"]),
-            base_seed=int(cfg["seed"]),
+            runs=cfg["runs"],
+            base_seed=cfg["seed"],
             record_grid=grid,
             bins=cfg.get("bins"),
         )
@@ -273,10 +274,12 @@ def cmd_sweep(args) -> int:
     if not values:
         raise ConfigurationError("sweep values must be non-empty")
     fixed_x = float(cfg.get("x", 1.0))
-    fixed_k = int(cfg.get("k", preset["k"]))
-    horizon = int(cfg.get("horizon", preset["horizon"]))
-    runs = int(args.runs if args.runs is not None else cfg.get("runs", preset["runs"]))
-    seed = int(args.seed if args.seed is not None else cfg.get("seed", preset["seed"]))
+    if axis != "x":
+        values = [positive_int(v, f"sweep value on axis {axis}") for v in values]
+    fixed_k = positive_int(cfg.get("k", preset["k"]), "k")
+    horizon = positive_int(cfg.get("horizon", preset["horizon"]), "horizon")
+    runs = args.runs if args.runs is not None else cfg.get("runs", preset["runs"])
+    seed = args.seed if args.seed is not None else cfg.get("seed", preset["seed"])
     policy_cfgs = cfg.get("policies", list(_ANYTIME_ROSTER))
     out_dir = args.out_dir or cfg.get("out_dir") or "."
     os.makedirs(out_dir, exist_ok=True)
@@ -286,8 +289,8 @@ def cmd_sweep(args) -> int:
     expanded_points = []
     for value in values:
         x = float(value) if axis == "x" else fixed_x
-        k = int(value) if axis == "K" else fixed_k
-        t = int(value) if axis == "T" else horizon
+        k = value if axis == "K" else fixed_k
+        t = value if axis == "T" else horizon
         policies = tuple(
             PolicySpec.from_config(dict(p, horizon=t) if p.get("family") in _NEEDS_HORIZON else dict(p))
             for p in policy_cfgs

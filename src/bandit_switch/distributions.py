@@ -9,11 +9,16 @@ exact post-clamping expectation.
 All sampling is routed through each model's ``quantile`` (inverse CDF), so
 a single uniform variate fully determines a reward.  This is what lets the
 simulation engines replay any run from a counter-based key.
+
+The configuration error type and the integer checks live here too, at
+the bottom of the import graph, so that arms, policies, scenarios and the
+command line share them.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -32,12 +37,39 @@ __all__ = [
     "arm_from_config",
     "sample",
     "true_mean",
+    "ConfigurationError",
+    "integer",
+    "positive_int",
 ]
 
 ArrayLike = Union[float, np.ndarray]
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+
+
+class ConfigurationError(ValueError):
+    """Invalid scenario or experiment configuration."""
+
+
+def integer(value, name: str, least: int | None = None) -> int:
+    """``value`` as an integer (at least ``least`` when given), from an
+    integer or a decimal string; anything else, a float such as 2.5 or
+    1e400 included, raises a :class:`ConfigurationError` naming ``name``."""
+    if isinstance(value, str):
+        try:
+            value = int(value)
+        except ValueError:
+            pass
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or (least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise ConfigurationError(f"{name} must be an integer{bound}, got {value!r}")
+    return int(value)
+
+
+def positive_int(value, name: str) -> int:
+    """``value`` as an integer >= 1; see :func:`integer`."""
+    return integer(value, name, 1)
 
 
 def _norm_pdf(x: float) -> float:
@@ -197,8 +229,8 @@ class TruncatedExponential:
     kind = "truncexp"
 
     def __post_init__(self):
-        if self.mean <= 0.0:
-            raise ValueError("pre-truncation mean must be positive")
+        if not (math.isfinite(self.mean) and self.mean > 0.0):
+            raise ValueError(f"pre-truncation mean must be positive and finite, got {self.mean!r}")
 
     def true_mean(self) -> float:
         # E[min(X, 1)] for X ~ Exp with mean theta.
@@ -225,8 +257,10 @@ class TruncatedGaussian:
     kind = "truncgauss"
 
     def __post_init__(self):
-        if self.sigma <= 0.0:
-            raise ValueError("sigma must be positive")
+        if not math.isfinite(self.mean):
+            raise ValueError(f"pre-truncation mean must be finite, got {self.mean!r}")
+        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma!r}")
 
     def true_mean(self) -> float:
         # E[clip(X, 0, 1)] = P(X >= 1) + m (Phi(b) - Phi(a)) - s (pdf(b) - pdf(a))
@@ -291,7 +325,7 @@ class Discrete:
             raise ValueError("values and probs must be non-empty and of equal length")
         if any(not 0.0 <= x <= 1.0 for x in v):
             raise ValueError("atom values must lie in [0, 1]")
-        if any(x < 0.0 for x in p):
+        if not all(x >= 0.0 for x in p):  # NaN fails too
             raise ValueError("probabilities must be non-negative")
         total = math.fsum(p)
         if abs(total - 1.0) > 1e-12:

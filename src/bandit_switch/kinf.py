@@ -249,7 +249,8 @@ def klucb_index(nu: EmpiricalDistribution, threshold: float) -> float:
     past the root so that the bracket closes from both sides to 1e-13 in
     mu.  The answer is the bracket's feasible end, so
     kinf(nu, index) <= threshold.  A root within 1e-12 of 1 returns 1,
-    which is exact only for the point mass at 1.
+    which is exact only for the point mass at 1.  A bracket still open
+    after ``_MAX_ITER`` iterations raises a :class:`RuntimeError`.
     """
     if threshold < 0.0:
         raise ValueError("threshold must be non-negative")
@@ -277,4 +278,6 @@ def klucb_index(nu: EmpiricalDistribution, threshold: float) -> float:
         if abs(y_next - y) < nudge:
             y_next += -nudge if excess > 0.0 else nudge
         y = y_next if lo < y_next < hi else 0.5 * (lo + hi)
+    else:
+        raise RuntimeError(f"klucb_index: bracket not closed in {_MAX_ITER} iterations (mean {m!r}, threshold {threshold!r})")
     return 1.0 if lo >= _Y_SATURATED else -math.expm1(-lo)

@@ -28,13 +28,14 @@ one-run state, and the one-run entry points :func:`indices` and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from ._vector import _Ctx, _indices, _tie_break, log_plus, moss_index, phi, switch_threshold, switch_value
-from .distributions import EmpiricalDistribution
+from .distributions import EmpiricalDistribution, positive_int
 
 __all__ = [
     "FAMILIES",
@@ -100,12 +101,12 @@ class PolicySpec:
             raise ValueError(f"unknown exploration {self.exploration!r}")
         if self.family in _NEEDS_HORIZON and self.horizon is None:
             raise ValueError(f"family {self.family!r} requires a horizon")
-        if self.horizon is not None and self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
+        if self.horizon is not None:
+            object.__setattr__(self, "horizon", positive_int(self.horizon, "policy horizon"))
         if self.family in _SWITCH and not 0.0 < self.switch_exponent < 1.0:
             raise ValueError("switch exponent must lie in (0, 1)")
-        if self.family == "klucb-gauss" and self.sigma <= 0.0:
-            raise ValueError("sigma must be positive")
+        if self.family == "klucb-gauss" and not (math.isfinite(self.sigma) and self.sigma > 0.0):
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma!r}")
 
     @property
     def name(self) -> str:

@@ -204,6 +204,59 @@ def test_non_integer_bins_exits_2(tmp_path):
     assert main(["run", write_config(tmp_path, dict(SMALL_CONFIG, bins="abc")), "--out-dir", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "field,cfg",
+    [
+        pytest.param("horizon", {"horizon": "1e400"}, id="horizon-1e400"),
+        pytest.param("horizon", {"horizon": "100.5"}, id="horizon-100.5"),
+        pytest.param("runs", {"runs": "2.5"}, id="runs-2.5"),
+        pytest.param("seed", {"seed": "1.7"}, id="seed-1.7"),
+        pytest.param("record_grid", {"record_grid": "[10.5, 300]"}, id="record_grid-10.5"),
+        pytest.param("policy horizon", {"policies": [{"family": "moss", "horizon": "40.5"}]}, id="policy-horizon-40.5"),
+        pytest.param("sigma", {"policies": [{"family": "klucb-gauss", "sigma": "NaN"}]}, id="klucb-gauss-sigma-nan"),
+        pytest.param(
+            "sigma", {"bandit": {"arms": [{"kind": "truncgauss", "mean": 0.5, "sigma": "NaN"}]}}, id="truncgauss-sigma-nan"
+        ),
+        pytest.param(
+            "mean", {"bandit": {"arms": [{"kind": "truncgauss", "mean": "Infinity", "sigma": 0.1}]}}, id="truncgauss-mean-inf"
+        ),
+        pytest.param("mean", {"bandit": {"arms": [{"kind": "truncexp", "mean": "NaN"}]}}, id="truncexp-mean-nan"),
+        pytest.param(
+            "probabilities",
+            {"bandit": {"arms": [{"kind": "discrete", "values": [0.0, 1.0], "probs": ["NaN", 1.0]}]}},
+            id="discrete-prob-nan",
+        ),
+    ],
+)
+def test_non_integer_or_non_finite_fields_exit_2(tmp_path, capsys, field, cfg):
+    # the quoted numbers are written to the file as bare JSON literals
+    text = json.dumps(dict(SMALL_CONFIG, **cfg))
+    for literal in ("1e400", "100.5", "2.5", "1.7", "[10.5, 300]", "40.5", "NaN", "Infinity"):
+        text = text.replace(json.dumps(literal), literal)
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "out" / "regret.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "field,cfg",
+    [
+        pytest.param("runs", {"runs": 2.5}, id="runs-2.5"),
+        pytest.param("seed", {"seed": 1.7}, id="seed-1.7"),
+        pytest.param("horizon", {"horizon": 100.5}, id="horizon-100.5"),
+        pytest.param("k", {"k": 2.5}, id="k-2.5"),
+        pytest.param("axis T", {"axis": "T", "values": [100.5]}, id="axis-T-100.5"),
+    ],
+)
+def test_sweep_non_integer_fields_exit_2(tmp_path, capsys, field, cfg):
+    path = write_config(tmp_path, dict({"preset": "fig2-left", "values": [1.0]}, **cfg))
+    assert main(["sweep", path, "--out-dir", str(tmp_path / "out")]) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
 def test_zero_bins_exits_2_before_any_run(tmp_path):
     # rejected even though no policy of the roster reads the distributions
     cfg = dict(SMALL_CONFIG, bins=0, policies=[{"family": "ucb"}])

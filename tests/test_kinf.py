@@ -22,7 +22,7 @@ from bandit_switch import (
     kinf_witness,
     klucb_index,
 )
-from bandit_switch._vector import exp_klucb
+from bandit_switch._vector import _newton_down, bern_klucb, exp_klucb
 from bandit_switch.kinf import KinfResult, kl_term
 import oracles
 from oracles import exp_kl_index
@@ -366,6 +366,15 @@ def test_klucb_index_newton_matches_bisection_oracle(monkeypatch):
     assert saturated >= 2
 
 
+def test_klucb_index_raises_when_the_bracket_stays_open(monkeypatch):
+    kinf_module = importlib.import_module("bandit_switch.kinf")
+    dist = EmpiricalDistribution([0.2, 0.6], [1, 1])
+    assert klucb_index(dist, 0.1) < 1.0
+    monkeypatch.setattr(kinf_module, "_MAX_ITER", 1)
+    with pytest.raises(RuntimeError, match="not closed"):
+        klucb_index(dist, 0.1)
+
+
 # ---------------------------------------------------------------------------
 # parametric divergences
 
@@ -415,6 +424,59 @@ def test_exp_kl_index_monotone_in_threshold():
     assert np.all(np.diff(vals) >= -1e-12)
     for d, v in zip(ds, vals):
         assert abs(v - exp_kl_index(0.1, float(d))) < 1e-12
+
+
+def _array_inversion_corpus():
+    """Means p = c/n over sample sizes 1 to 10^5 (p = 0 and p = 1 included,
+    and p = 0.99999 with d = 1 and 12), budgets d = 0, 1e-12, 12 and
+    log-uniform on [1e-12, 12], exponential means h log-uniform on
+    [1e-6, 1]; and p = 0.999 at a d where the Newton steps at the
+    floating-point floor stay at 5.55e-13 without shrinking."""
+    rng = np.random.default_rng(12)
+    n = rng.choice([1, 2, 7, 100, 1000, 100_000], size=1500)
+    c = rng.integers(0, n + 1)
+    c[::7] = 0
+    c[1::7] = n[1::7]
+    d = np.exp(rng.uniform(math.log(1e-12), math.log(12.0), n.size))
+    d[::5] = 0.0
+    d[1::5] = 1e-12
+    d[2::5] = 12.0
+    n = np.append(n, [100_000, 100_000, 1000])
+    c = np.append(c, [99_999, 99_999, 999])
+    d = np.append(d, [1.0, 12.0, 1.5180592949968516e-10])
+    h = np.exp(rng.uniform(math.log(1e-6), 0.0, n.size))
+    return c, n, d, h
+
+
+def test_array_inversions_do_not_depend_on_the_batch():
+    c, n, d, h = _array_inversion_corpus()
+    p = c / n
+    bern = bern_klucb(p, d)
+    expo = exp_klucb(h, d)
+    assert np.array_equal(bern, [bern_klucb(p[i : i + 1], d[i : i + 1])[0] for i in range(d.size)])
+    assert np.array_equal(expo, [exp_klucb(h[i : i + 1], d[i : i + 1])[0] for i in range(d.size)])
+    for ci, ni, di, b in zip(c.tolist(), n.tolist(), d.tolist(), bern.tolist()):
+        atoms = [(x, k) for x, k in ((0.0, ni - ci), (1.0, ci)) if k]
+        dist = EmpiricalDistribution([x for x, _ in atoms], [k for _, k in atoms])
+        assert abs(b - klucb_index(dist, di)) <= 1e-10, (ci, ni, di)
+    for hi, di, e in zip(h.tolist(), d.tolist(), expo.tolist()):
+        # the divergence is evaluated to about eps and its slope in m at the
+        # root is about sqrt(2 d) / m, so no inversion resolves m better
+        # than eps m / sqrt(2 d): below d = 1e-8 that exceeds 1e-12
+        oracle = exp_kl_index(hi, di)
+        tol = 1e-12 + (np.finfo(float).eps * oracle / math.sqrt(2.0 * di) if di > 0.0 else 0.0)
+        assert abs(e - oracle) <= tol, (hi, di)
+
+
+def test_newton_raises_on_an_element_that_does_not_stop():
+    # steps x, which ends in one iteration, and 0.01 x, which shrinks too
+    # slowly to reach 1e-13 in 100 iterations; a NaN step raises too
+    x = np.array([1.0, 1.0])
+    assert np.array_equal(_newton_down(lambda x, s: s * x, x, np.array([1.0, 1.0])), [0.0, 0.0])
+    with pytest.raises(RuntimeError, match=r"did not converge .*\[0\.01\]"):
+        _newton_down(lambda x, s: s * x, x, np.array([1.0, 0.01]))
+    with pytest.raises(RuntimeError, match=r"did not converge .*\[2\.0\]"):
+        _newton_down(lambda x, s: np.where(s > 1.5, np.nan, x), x, np.array([1.0, 2.0]))
 
 
 def test_exp_kl_index_clamped_to_unit_interval():

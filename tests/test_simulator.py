@@ -135,15 +135,11 @@ def test_vector_engine_support_matrix():
     assert _vector.supports(gauss, PolicySpec("klucb-gauss"))
     assert not _vector.supports(gauss, PolicySpec("klucb-anytime"))
     assert _vector.supports(BERN3, PolicySpec("klucb-anytime"))
-    with pytest.raises(ConfigurationError):
-        monte_carlo(
-            Scenario(bandit=gauss, horizon=20, policies=(PolicySpec("imed"),), runs=2, base_seed=1),
-            engine="vector",
-        )
 
 
-def test_monte_carlo_matches_run_episode_rows():
-    spec = PolicySpec("klucb-anytime")
+@pytest.mark.parametrize("family", ["klucb-anytime", "klucb-switch-anytime"])
+def test_monte_carlo_matches_run_episode_rows(family):
+    spec = PolicySpec(family)
     scenario = Scenario(bandit=BERN3, horizon=150, policies=(spec,), runs=6, base_seed=2024)
     curve = monte_carlo(scenario)
     grid_idx = np.asarray(scenario.record_grid) - 1
@@ -222,14 +218,6 @@ def test_monte_carlo_rejects_bad_parallelism(bad):
     scenario = Scenario(bandit=BERN3, horizon=10, policies=(PolicySpec("ucb"),), runs=2, base_seed=1)
     with pytest.raises(ConfigurationError, match="parallelism"):
         monte_carlo(scenario, parallelism=bad)
-
-
-def test_scalar_engine_forced_matches_vector():
-    spec = PolicySpec("klucb-switch-anytime")
-    scenario = Scenario(bandit=BERN3, horizon=120, policies=(spec,), runs=4, base_seed=77)
-    vec = monte_carlo(scenario, engine="vector")
-    sca = monte_carlo(scenario, engine="scalar")
-    assert np.allclose(vec.mean, sca.mean, atol=1e-9)
 
 
 def test_single_run_has_zero_stderr():
