@@ -2,7 +2,9 @@
 reproducibility, and exit codes."""
 
 import csv
+import hashlib
 import json
+import pathlib
 
 import pytest
 
@@ -30,6 +32,24 @@ def write_config(tmp_path, payload, name="config.json"):
 def read_rows(path):
     with open(path) as fh:
         return list(csv.reader(fh))
+
+
+GOLDEN = json.loads((pathlib.Path(__file__).parent / "data" / "golden.json").read_text())
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_preset_and_sweep_csv_bits_match_the_golden_digests(tmp_path):
+    # Any change to an index, a hash, a tie-break or the write-out moves these.
+    run_cfg = write_config(tmp_path, {"preset": "fig1-left", "runs": 64, "horizon": 500}, "run.json")
+    assert main(["run", run_cfg, "--out-dir", str(tmp_path / "run"), "--parallelism", "1"]) == 0
+    assert sha256(tmp_path / "run" / "regret.csv") == GOLDEN["fig1_left_regret_csv_sha256"]
+    sweep_cfg = write_config(tmp_path, {"preset": "fig2-left", "values": [1.0, 3.0], "horizon": 500}, "sweep.json")
+    argv = ["sweep", sweep_cfg, "--out-dir", str(tmp_path / "sweep"), "--parallelism", "1", "--runs", "4"]
+    assert main(argv) == 0
+    assert sha256(tmp_path / "sweep" / "sweep.csv") == GOLDEN["fig2_left_sweep_csv_sha256"]
 
 
 def test_run_writes_expected_csv(tmp_path):
