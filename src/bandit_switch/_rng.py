@@ -4,7 +4,9 @@ Every random quantity a simulation consumes is a pure function of
 ``(seed path, step, channel)``: rewards and tie-breaks are looked up, not
 drawn from a stateful stream.  Runs therefore do not interact, results do
 not depend on scheduling or on the degree of parallelism, and a single run
-can be replayed in isolation.
+can be replayed in isolation.  No uniform depends on an action either, so
+an engine may hash the uniforms of a block of steps ahead in one pass;
+the values do not depend on the block length.
 
 The hash is the splitmix64 finalizer (Stafford mix 13), applied to a key
 chained over the integer path.  It is not cryptographic; it is more than
@@ -54,18 +56,19 @@ def unit_uniform(key: int, step: int, channel: int) -> float:
     return (z >> 11) * 2.0**-53
 
 
-def unit_uniform_array(keys: np.ndarray, step: int, channel: int) -> np.ndarray:
+def unit_uniform_array(keys: np.ndarray, step, channel: int) -> np.ndarray:
     """Vectorised :func:`unit_uniform` over an array of uint64 keys.
 
-    Bit-for-bit identical to the scalar version entry by entry.
+    ``step`` is an integer, giving one value per key, or a 1-D array of
+    steps, giving one row per step: row ``i`` holds the uniforms of step
+    ``step[i]``.  Bit-for-bit identical to the scalar version entry by
+    entry, so hashing a block of steps at once or one step at a time
+    yields the same values.
     """
-    z = keys ^ np.uint64(mix64(2 * step + channel))
-    z = z ^ (z >> np.uint64(30))
-    z = z * np.uint64(_MUL1)
-    z = z ^ (z >> np.uint64(27))
-    z = z * np.uint64(_MUL2)
-    z = z ^ (z >> np.uint64(31))
-    return (z >> np.uint64(11)) * 2.0**-53
+    steps = np.asarray(step, dtype=np.uint64)
+    salt = mix64_array(np.uint64(2) * steps.reshape(-1, 1) + np.uint64(channel))
+    u = (mix64_array(keys ^ salt) >> np.uint64(11)) * 2.0**-53
+    return u if steps.ndim else u[0]
 
 
 def mix64_array(z: np.ndarray) -> np.ndarray:

@@ -35,6 +35,9 @@ if TYPE_CHECKING:
     from .policies import PolicySpec
 
 _EMPIRICAL_EXPONENT = 8.0 / 9.0
+# Uniforms hashed per channel in one pass of :func:`simulate` (256 KiB of
+# float64): the block of steps is this many over the batch size.
+_BLOCK_ELEMS = 1 << 15
 
 
 def supports(bandit: BanditInstance, spec: PolicySpec) -> bool:
@@ -205,9 +208,14 @@ def _draw(ctx: _Ctx, action: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def _tie_break(scores: np.ndarray, u, minimize: bool) -> np.ndarray:
     """Per run, the arm of best score; among m tied arms, the i-th in arm
-    order for u in [i/m, (i+1)/m)."""
+    order for u in [i/m, (i+1)/m).  Scores are finite, so every run has at
+    least one best arm, and when no run has two the first best is the
+    answer and the rank scan is skipped."""
     best = scores.min(axis=1, keepdims=True) if minimize else scores.max(axis=1, keepdims=True)
-    rank = (scores == best).cumsum(axis=1)  # last column: number tied
+    tied = scores == best
+    if np.count_nonzero(tied) == len(scores):
+        return tied.argmax(axis=1)
+    rank = tied.cumsum(axis=1)  # last column: number tied
     pick = (u * rank[:, -1]).astype(np.int64)
     return (rank > pick[:, None]).argmax(axis=1)
 
@@ -286,7 +294,12 @@ def simulate(
     record_actions: bool = False,
 ):
     """Simulate one run per seed; return pseudo-regret at the recorded
-    steps as a (runs, grid) array, plus the action log when asked."""
+    steps as a (runs, grid) array, plus the action log when asked.
+
+    The uniforms of both channels are hashed for a block of steps at a
+    time, about ``_BLOCK_ELEMS`` per channel; they do not depend on the
+    block length, so neither does any output bit.
+    """
     k = bandit.k
     runs = len(seeds)
     keys = mix64_array(np.asarray(seeds, dtype=np.uint64))
@@ -296,40 +309,34 @@ def simulate(
 
     n = np.zeros((runs, k))
     s = np.zeros((runs, k))
+    n_cells, s_cells = n.reshape(-1), s.reshape(-1)  # views: cell (run, arm) is run*k + arm
+    row_base = np.arange(runs) * k
     regret = np.zeros(runs)
     gpos = np.full(horizon + 1, -1, dtype=np.int64)
     for g, step in enumerate(record_grid):
         gpos[step] = g
     out = np.empty((runs, len(record_grid)))
     actions = np.empty((runs, horizon), dtype=np.int32) if record_actions else None
-    rows = np.arange(runs)
 
-    for step in range(1, k + 1):
-        a = step - 1
-        u = unit_uniform_array(keys, step, CH_REWARD)
-        r = np.asarray(bandit.arms[a].quantile(u), dtype=float)
-        n[:, a] += 1.0
-        s[:, a] += r
-        regret += gaps[a]
-        if actions is not None:
-            actions[:, step - 1] = a
-        if gpos[step] >= 0:
-            out[:, gpos[step]] = regret
-
-    for step in range(k + 1, horizon + 1):
-        t = step - 1
-        scores = _indices(ctx, n, s, t)
-        u_tie = unit_uniform_array(keys, step, CH_TIE)
-        action = _tie_break(scores, u_tie, minimize)
-        u = unit_uniform_array(keys, step, CH_REWARD)
-        r = _draw(ctx, action, u)
-        s[rows, action] += r
-        n[rows, action] += 1.0
-        regret += gaps[action]
-        if actions is not None:
-            actions[:, step - 1] = action
-        if gpos[step] >= 0:
-            out[:, gpos[step]] = regret
+    block = max(1, min(_BLOCK_ELEMS // runs, horizon))
+    for lo in range(1, horizon + 1, block):
+        steps = np.arange(lo, min(lo + block, horizon + 1))
+        u_ties = unit_uniform_array(keys, steps, CH_TIE)
+        u_rewards = unit_uniform_array(keys, steps, CH_REWARD)
+        for step, u_tie, u in zip(steps.tolist(), u_ties, u_rewards):
+            if step <= k:  # each arm once, in order
+                action = np.full(runs, step - 1)
+            else:
+                action = _tie_break(_indices(ctx, n, s, step - 1), u_tie, minimize)
+            r = _draw(ctx, action, u)
+            cell = row_base + action
+            s_cells[cell] += r
+            n_cells[cell] += 1.0
+            regret += gaps[action]
+            if actions is not None:
+                actions[:, step - 1] = action
+            if gpos[step] >= 0:
+                out[:, gpos[step]] = regret
 
     if record_actions:
         return out, actions

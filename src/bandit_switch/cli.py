@@ -236,6 +236,16 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _finite(value, name: str) -> float:
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not math.isfinite(x):
+        raise ConfigurationError(f"{name} must be a finite number, got {value!r}")
+    return x
+
+
 def _sweep_scenario(policies, k: int, horizon: int, x: float, runs: int, seed: int) -> Scenario:
     gap = x * math.sqrt(k / horizon)
     if gap >= 0.8:
@@ -273,7 +283,6 @@ def cmd_sweep(args) -> int:
         values = cfg.get("values", [2, 10, 50])
     if not values:
         raise ConfigurationError("sweep values must be non-empty")
-    fixed_x = float(cfg.get("x", 1.0))
     if axis != "x":
         values = [positive_int(v, f"sweep value on axis {axis}") for v in values]
     fixed_k = positive_int(cfg.get("k", preset["k"]), "k")
@@ -281,21 +290,30 @@ def cmd_sweep(args) -> int:
     runs = args.runs if args.runs is not None else cfg.get("runs", preset["runs"])
     seed = args.seed if args.seed is not None else cfg.get("seed", preset["seed"])
     policy_cfgs = cfg.get("policies", list(_ANYTIME_ROSTER))
+    # Every point's scenario is built, and so checked, before any is run.
+    points = []
+    try:
+        fixed_x = _finite(cfg.get("x", 1.0), "x")
+        for value in values:
+            x = _finite(value, "sweep value on axis x") if axis == "x" else fixed_x
+            k = value if axis == "K" else fixed_k
+            t = value if axis == "T" else horizon
+            policies = tuple(
+                PolicySpec.from_config(dict(p, horizon=t) if isinstance(p, dict) and p.get("family") in _NEEDS_HORIZON else p)
+                for p in policy_cfgs
+            )
+            points.append((value, k, t, _sweep_scenario(policies, k, t, x, runs, seed)))
+    except ConfigurationError:
+        raise
+    except (ValueError, TypeError) as exc:
+        raise ConfigurationError(f"invalid sweep configuration: {exc}")
     out_dir = args.out_dir or cfg.get("out_dir") or "."
     os.makedirs(out_dir, exist_ok=True)
     parallelism = _parallelism(args, cfg)
 
     rows = []
     expanded_points = []
-    for value in values:
-        x = float(value) if axis == "x" else fixed_x
-        k = value if axis == "K" else fixed_k
-        t = value if axis == "T" else horizon
-        policies = tuple(
-            PolicySpec.from_config(dict(p, horizon=t) if p.get("family") in _NEEDS_HORIZON else dict(p))
-            for p in policy_cfgs
-        )
-        scenario = _sweep_scenario(policies, k, t, x, runs, seed)
+    for value, k, t, scenario in points:
         curve = monte_carlo(scenario, parallelism=parallelism)
         norm = normalized_regret(curve, k, t)
         if not isinstance(norm, dict):

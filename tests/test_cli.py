@@ -277,6 +277,24 @@ def test_sweep_non_integer_fields_exit_2(tmp_path, capsys, field, cfg):
     assert not (tmp_path / "out" / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "field,cfg",
+    [
+        pytest.param("family", {"policies": [{"family": "nope"}]}, id="family-nope"),
+        pytest.param("sigma", {"policies": [{"family": "klucb-gauss", "sigma": "NaN"}]}, id="klucb-gauss-sigma-nan"),
+        pytest.param("x must be", {"x": "abc"}, id="x-abc"),
+    ],
+)
+def test_sweep_bad_policy_or_x_exits_2(tmp_path, capsys, field, cfg):
+    # NaN is written to the file as a bare JSON literal; "x" goes to every point
+    text = json.dumps(dict({"preset": "fig2-left", "axis": "K", "values": [2, 3], "runs": 2}, **cfg))
+    path = tmp_path / "config.json"
+    path.write_text(text.replace('"NaN"', "NaN"))
+    assert main(["sweep", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
 def test_zero_bins_exits_2_before_any_run(tmp_path):
     # rejected even though no policy of the roster reads the distributions
     cfg = dict(SMALL_CONFIG, bins=0, policies=[{"family": "ucb"}])

@@ -327,3 +327,33 @@ def test_determinism_for_fixed_seed_and_rewards():
         return actions
 
     assert run() == run()
+
+
+def _rank_rule(scores, u, minimize):
+    # The tie rule written out run by run: among the m best arms, the i-th
+    # in arm order for u in [i/m, (i+1)/m).
+    picks = []
+    for row, ui in zip(scores, np.atleast_1d(u)):
+        tied = np.flatnonzero(row == (row.min() if minimize else row.max()))
+        picks.append(tied[int(ui * len(tied))])
+    return np.array(picks)
+
+
+@pytest.mark.parametrize("minimize", [False, True])
+@pytest.mark.parametrize("ties", ["none", "some", "every"])
+def test_tie_break_agrees_with_the_rank_rule(minimize, ties):
+    rng = np.random.default_rng(41)
+    runs, k = 300, 5
+    for _ in range(20):
+        scores = np.array([rng.permutation(k) for _ in range(runs)], dtype=float)
+        if ties != "none":
+            tied_rows = np.arange(runs) if ties == "every" else rng.choice(runs, runs // 3, replace=False)
+            best = -1.0 if minimize else float(k)
+            for r in tied_rows:
+                scores[r, rng.choice(k, rng.integers(2, k + 1), replace=False)] = best
+        u = rng.random(runs)
+        assert np.array_equal(_vector._tie_break(scores, u, minimize), _rank_rule(scores, u, minimize))
+        # the scalar engine's call: one run, shape (1, K), a float uniform
+        for r in range(0, runs, 37):
+            one = _vector._tie_break(scores[r][None], float(u[r]), minimize)
+            assert one.shape == (1,) and one[0] == _rank_rule(scores[r][None], u[r], minimize)[0]

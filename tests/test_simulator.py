@@ -21,6 +21,7 @@ from bandit_switch import (
     run_seed,
 )
 from bandit_switch import _vector
+from bandit_switch._rng import CH_REWARD, CH_TIE, unit_uniform, unit_uniform_array
 
 BERN3 = BanditInstance((Bernoulli(0.8), Bernoulli(0.5), Bernoulli(0.3)))
 
@@ -287,3 +288,51 @@ def test_binned_distributions_force_scalar_engine_and_run():
     curve = monte_carlo(scenario)
     assert curve.mean.shape[0] == 1
     assert np.isfinite(curve.mean).all()
+
+
+@pytest.mark.parametrize("channel", [CH_REWARD, CH_TIE])
+def test_uniform_rows_equal_the_per_step_and_scalar_hash(channel):
+    rng = np.random.default_rng(2024)
+    keys = np.concatenate([np.array([0, 2**64 - 1], dtype=np.uint64), rng.integers(0, 2**64, 6, dtype=np.uint64)])
+    steps = np.concatenate([[0, 1, 2, 3, 2**31 - 1, 2**32 + 5, 2**40 - 1, 2**40], rng.integers(1, 2**40, 8)])
+    block = unit_uniform_array(keys, steps, channel)
+    assert block.shape == (len(steps), len(keys))
+    for row, step in zip(block, steps.tolist()):
+        one_step = unit_uniform_array(keys, step, channel)
+        scalar = np.array([unit_uniform(key, step, channel) for key in keys.tolist()])
+        assert row.tobytes() == one_step.tobytes() == scalar.tobytes()
+
+
+BERN_TIED = BanditInstance((Bernoulli(0.5), Bernoulli(0.5), Bernoulli(0.4)))
+
+
+@pytest.mark.parametrize(
+    "bandit,spec",
+    [
+        (BERN_TIED, PolicySpec("ucb")),
+        (BERN_TIED, PolicySpec("klucb-switch-anytime", switch_exponent=8.0 / 9.0)),
+        (BERN_TIED, PolicySpec("imed")),
+        (BanditInstance((TruncatedGaussian(0.6, 0.2), TruncatedGaussian(0.5, 0.2))), PolicySpec("moss-anytime")),
+    ],
+    ids=["ucb", "switch", "imed", "moss-gaussian"],
+)
+@pytest.mark.parametrize("runs", [1, 5])
+def test_simulate_does_not_depend_on_the_block_length(monkeypatch, bandit, spec, runs):
+    horizon = 60
+    seeds = [run_seed(8, 0, r) for r in range(runs)]
+    grid = tuple(range(1, horizon + 1))
+    # 1, a length that divides neither the horizon nor horizon - K (57 or 58), and the horizon
+    outputs = {}
+    for block in (1, 7, horizon):
+        monkeypatch.setattr(_vector, "_BLOCK_ELEMS", block * runs)
+        widths = []
+
+        def recording(keys, step, channel):
+            widths.append(np.size(step))
+            return unit_uniform_array(keys, step, channel)
+
+        monkeypatch.setattr(_vector, "unit_uniform_array", recording)
+        regrets, actions = _vector.simulate(bandit, spec, horizon, seeds, grid, record_actions=True)
+        assert max(widths) == block
+        outputs[block] = (regrets.tobytes(), actions.tobytes())
+    assert outputs[1] == outputs[7] == outputs[horizon]
