@@ -327,7 +327,11 @@ def simulate(
             if step <= k:  # each arm once, in order
                 action = np.full(runs, step - 1)
             else:
-                action = _tie_break(_indices(ctx, n, s, step - 1), u_tie, minimize)
+                # ``scores`` stays referenced until the next step's is built:
+                # freeing every (runs, K) temporary at once lets malloc trim
+                # the heap, and large batches then page-fault it back each step.
+                scores = _indices(ctx, n, s, step - 1)
+                action = _tie_break(scores, u_tie, minimize)
             r = _draw(ctx, action, u)
             cell = row_base + action
             s_cells[cell] += r
