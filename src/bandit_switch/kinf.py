@@ -249,7 +249,10 @@ def klucb_index(nu: EmpiricalDistribution, threshold: float) -> float:
     past the root so that the bracket closes from both sides to 1e-13 in
     mu.  The answer is the bracket's feasible end, so
     kinf(nu, index) <= threshold.  A root within 1e-12 of 1 returns 1,
-    which is exact only for the point mass at 1.  A bracket still open
+    which is exact only for the point mass at 1.  The point mass at 0
+    returns its closed form 1 - e^-threshold rounded to a double, as the
+    vector engine's ``bern_klucb`` does, which may lie an ulp past the
+    root.  A bracket still open
     after ``_MAX_ITER`` iterations raises a :class:`RuntimeError`.
     """
     if threshold < 0.0:
@@ -259,6 +262,8 @@ def klucb_index(nu: EmpiricalDistribution, threshold: float) -> float:
         return m
     if m >= 1.0:
         return 1.0
+    if m <= 0.0:  # point mass at 0: kinf(nu, mu) = -ln(1 - mu)
+        return -math.expm1(-threshold)
     lo = -math.log1p(-m)  # kinf = 0 there
     hi = _Y_SATURATED
     cap = m + math.sqrt(0.5 * threshold)

@@ -202,14 +202,27 @@ def _policy_engine(scenario: Scenario, spec: PolicySpec, *_) -> str:
     return "vector" if _vector.supports(scenario.bandit, spec) else "scalar"
 
 
-def _chunk_count(runs: int, parallelism: int, engine: str) -> int:
-    """Run chunks for one policy: one per worker for a vector batch,
-    whose per-step numpy overhead is paid once per chunk, and a finer
-    split for scalar runs, whose cost is linear in runs, to balance
-    load."""
+# Narrowest vector chunk given a worker of its own, in (run, arm) cells.
+# A step of `_vector.simulate` costs about a + b * cells; four fits of
+# per-step CPU time on fig1-left's arms (horizon 600 or 3000, widths 100
+# to 800 or 1600) put the break-even width a / b at 710-1010 cells for the
+# klucb families (a 135-190 us, b 0.16-0.21 us) and at most 440 for imed,
+# ucb and moss.  This is the largest, rounded up to a power of two.
+_MIN_CHUNK_CELLS = 1024
+
+
+def _chunk_count(runs: int, k: int, parallelism: int, engine: str) -> int:
+    """Run chunks for one policy over ``k`` arms.  A vector batch pays a
+    fixed numpy call overhead per step whatever its width, so it is cut
+    into at most one chunk per worker, and only into as many as keep each
+    chunk at least ``_MIN_CHUNK_CELLS`` cells wide; a narrower batch runs
+    whole.  Scalar runs cost the same per run in any chunk, so they get a
+    finer split, 4 per worker (at most one per run), to balance load."""
     if parallelism == 1:
         return 1
-    return min(parallelism if engine == "vector" else 4 * parallelism, runs)
+    if engine == "vector":
+        return max(1, min(parallelism, runs * k // _MIN_CHUNK_CELLS))
+    return min(4 * parallelism, runs)
 
 
 def monte_carlo(scenario: Scenario, parallelism: int = 1) -> RegretCurve:
@@ -217,8 +230,10 @@ def monte_carlo(scenario: Scenario, parallelism: int = 1) -> RegretCurve:
 
     Per-run seeds are pre-assigned from (base_seed, policy, run), so the
     result does not depend on ``parallelism`` or on completion order.
-    All (policy, chunk) jobs share one pool of at most ``parallelism``
-    workers; each policy's rows are stacked in run order.
+    Each policy's runs are cut into chunks by :func:`_chunk_count`, so a
+    narrow vector batch runs whole; all (policy, chunk) jobs share one
+    pool of at most ``parallelism`` workers, which takes them in roster
+    order, and each policy's rows are stacked in run order.
     """
     parallelism = positive_int(parallelism, "parallelism")
     grid = scenario.record_grid
@@ -228,7 +243,7 @@ def monte_carlo(scenario: Scenario, parallelism: int = 1) -> RegretCurve:
     for p_idx, spec in enumerate(scenario.policies):
         eng = _policy_engine(scenario, spec)
         seeds = [run_seed(scenario.base_seed, p_idx, r) for r in range(runs)]
-        bounds = np.linspace(0, runs, _chunk_count(runs, parallelism, eng) + 1).astype(int)
+        bounds = np.linspace(0, runs, _chunk_count(runs, scenario.bandit.k, parallelism, eng) + 1).astype(int)
         own = [
             (scenario.bandit, spec, scenario.horizon, grid, seeds[lo:hi], eng, scenario.bins)
             for lo, hi in zip(bounds[:-1], bounds[1:])

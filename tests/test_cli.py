@@ -94,7 +94,8 @@ def test_meta_records_engine_and_chunks_per_policy(tmp_path):
     assert (outs[1] / "regret.csv").read_bytes() == (outs[2] / "regret.csv").read_bytes()
     fanout = {p: json.loads((out / "meta.json").read_text())["fanout"] for p, out in outs.items()}
     assert fanout[1] == {"UCB": {"engine": "vector", "chunks": 1}, "KL-UCB": {"engine": "scalar", "chunks": 1}}
-    assert fanout[2] == {"UCB": {"engine": "vector", "chunks": 2}, "KL-UCB": {"engine": "scalar", "chunks": 7}}
+    # 7 runs x 2 arms is far below a vector chunk's floor, so UCB runs whole
+    assert fanout[2] == {"UCB": {"engine": "vector", "chunks": 1}, "KL-UCB": {"engine": "scalar", "chunks": 7}}
 
 
 def test_sweep_meta_records_fanout_per_point(tmp_path):
@@ -107,7 +108,8 @@ def test_sweep_meta_records_fanout_per_point(tmp_path):
     assert [pt["sweep_value"] for pt in points] == [0.5, 1.0]
     for pt in points:
         assert len(pt["fanout"]) == 5
-        assert all(f == {"engine": "vector", "chunks": 2} for f in pt["fanout"].values())
+        # 3 runs x 2 arms per policy: each batch runs whole
+        assert all(f == {"engine": "vector", "chunks": 1} for f in pt["fanout"].values())
 
 
 def test_runs_override_flag(tmp_path):

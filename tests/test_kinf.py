@@ -288,9 +288,12 @@ def test_klucb_index_zero_threshold_returns_mean():
 
 
 def test_klucb_index_point_mass_at_zero_closed_form():
-    d0 = EmpiricalDistribution([0.0], [1])
-    for d in (0.1, 0.5, 1.0, 3.0):
-        assert klucb_index(d0, d) == pytest.approx(1.0 - math.exp(-d), abs=1e-9)
+    # exactly 1 - e^-d, bit for bit what the vector engine's bern_klucb gives
+    for d0 in (EmpiricalDistribution([0.0], [1]), EmpiricalDistribution([0.0], [5])):
+        for d in (1e-12, 0.1, 0.5, math.log(2.0), 1.0, 3.0, 40.0):
+            exact = -math.expm1(-d)
+            assert klucb_index(d0, d) == exact
+            assert float(bern_klucb(np.array([0.0]), np.array([d]))[0]) == exact
 
 
 def test_klucb_index_inverts_bernoulli_divergence():
@@ -359,7 +362,11 @@ def test_klucb_index_newton_matches_bisection_oracle(monkeypatch):
         idx = klucb_index(dist, d)
         assert all(res.converged for res in solves), (dist.values, d)
         assert abs(idx - oracles.klucb_index(dist, d)) <= 1e-10, (dist.values, d)
-        if idx < 1.0:
+        if dist.mean == 0.0:
+            # the closed form 1 - e^-d, rounded to a double, may sit an ulp
+            # past the root, so kinf there may exceed d by an ulp
+            assert idx == -math.expm1(-d)
+        elif idx < 1.0:
             assert kinf(dist, idx).value <= d
         else:
             saturated += 1

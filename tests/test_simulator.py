@@ -179,13 +179,34 @@ def test_mixed_roster_is_invariant_to_parallelism(runs):
 
 def test_chunk_counts_follow_engine_and_parallelism():
     scenario = Scenario(bandit=MIXED, horizon=20, policies=MIXED_ROSTER, runs=7, base_seed=9, bins=20)
-    # one chunk per worker for a vector batch, 4 per worker (at most one
-    # per run) for scalar runs, one chunk in all at parallelism 1
+    # a vector batch of 14 cells is far below the floor and runs whole; 4
+    # chunks per worker (at most one per run) for scalar runs; one chunk
+    # in all at parallelism 1
     assert monte_carlo(scenario, parallelism=1).chunks == (1, 1, 1)
-    assert monte_carlo(scenario, parallelism=2).chunks == (2, 7, 2)
-    assert monte_carlo(scenario, parallelism=3).chunks == (3, 7, 3)
+    assert monte_carlo(scenario, parallelism=2).chunks == (1, 7, 1)
+    assert monte_carlo(scenario, parallelism=3).chunks == (1, 7, 1)
     one_run = Scenario(bandit=MIXED, horizon=20, policies=MIXED_ROSTER, runs=1, base_seed=9, bins=20)
     assert monte_carlo(one_run, parallelism=3).chunks == (1, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "k,runs,short,chunks",
+    [(23, 89, 1, (1, 1, 1)), (32, 64, 0, (1, 2, 2))],
+    ids=["one-cell-below-two-chunks", "two-chunks"],
+)
+def test_vector_chunks_stay_at_least_the_floor_wide(k, runs, short, chunks):
+    # runs * K is one cell short of, resp. exactly, two chunks of the floor
+    from bandit_switch import simulator
+
+    assert runs * k == 2 * simulator._MIN_CHUNK_CELLS - short
+    bandit = BanditInstance(tuple(Bernoulli(p) for p in np.linspace(0.2, 0.8, k)))
+    specs = (PolicySpec("ucb"), PolicySpec("klucb-switch-anytime", switch_exponent=8.0 / 9.0))
+    scenario = Scenario(bandit=bandit, horizon=k + 20, policies=specs, runs=runs, base_seed=77)
+    curves = [monte_carlo(scenario, parallelism=p) for p in (1, 2, 3)]
+    assert [c.chunks for c in curves] == [(n, n) for n in chunks]
+    for curve in curves[1:]:
+        assert curve.mean.tobytes() == curves[0].mean.tobytes()
+        assert curve.stderr.tobytes() == curves[0].stderr.tobytes()
 
 
 @pytest.mark.parametrize("parallelism,pools", [(2, 1), (1, 0)])
@@ -336,3 +357,44 @@ def test_simulate_does_not_depend_on_the_block_length(monkeypatch, bandit, spec,
         assert max(widths) == block
         outputs[block] = (regrets.tobytes(), actions.tobytes())
     assert outputs[1] == outputs[7] == outputs[horizon]
+
+
+FIG1_LEFT = BanditInstance((Bernoulli(0.9), Bernoulli(0.8)))
+SWITCH_8_9 = PolicySpec("klucb-switch-anytime", switch_exponent=8.0 / 9.0)
+
+
+@pytest.mark.parametrize(
+    "bandit,spec,seed",
+    [
+        # step 7, counts (1, 4, 1), sums (0, 2, 0): the two KL-branch arms at
+        # mean 0 have index 1 - e^-ln2 = 1/2, tied with the MOSS-branch arm
+        pytest.param(BERN_TIED, SWITCH_8_9, run_seed(8, 0, 1), id="switch-one-atom-at-zero"),
+        pytest.param(
+            FIG1_LEFT,
+            SWITCH_8_9,
+            run_seed(3, 3, 48),
+            id="switch-kl-branch-tie",
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="step 13, counts (3, 9), sums (1, 6): the KL-branch index kl^-1(1/3, ln2/3) is exactly 2/3, "
+                "the MOSS-branch arm's index; scalar klucb_index returns its bracket's feasible end "
+                "0.6666666666666166, bern_klucb 0.6666666666666666",
+            ),
+        ),
+        pytest.param(
+            FIG1_LEFT,
+            PolicySpec("imed"),
+            run_seed(4, 4, 160),
+            id="imed-tie",
+            marks=pytest.mark.xfail(
+                strict=True,
+                reason="step 10, counts (6, 3), sums (4, 1): 3 kl(1/3, 2/3) + ln 3 is exactly ln 6, the leader's "
+                "score; kinf gives 1.791759469228055, the Bernoulli KL 1.7917594692280552",
+            ),
+        ),
+    ],
+)
+def test_vector_engine_replays_scalar_runs_at_exact_ties(bandit, spec, seed):
+    horizon = 60
+    _, actions = _vector.simulate(bandit, spec, horizon, [seed], tuple(range(1, horizon + 1)), record_actions=True)
+    assert np.array_equal(run_episode(bandit, spec, horizon, seed).actions, actions[0])
