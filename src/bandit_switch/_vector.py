@@ -111,17 +111,19 @@ def _newton_down(f, x, *args) -> np.ndarray:
     1e-13 or one that does not shrink, which marks the floating-point
     floor.  An element not frozen in 100 iterations, or a non-finite
     result, raises."""
+    x = x.copy()
     going = np.ones(x.shape, dtype=bool)
     prev = np.full_like(x, np.inf)
     for _ in range(100):
         step = f(x, *args)
-        x = x - step * going
-        going &= (step >= 1e-13) & (step < prev)
+        np.subtract(x, step, out=x, where=going)
+        going &= step >= 1e-13
+        going &= step < prev
         prev = step
-        if not going.any():
+        if not np.count_nonzero(going):
             break
     bad = going | ~np.isfinite(x)
-    if bad.any():
+    if np.count_nonzero(bad):
         i = np.argmax(bad)
         raise RuntimeError(f"Newton inversion did not converge at parameters {[float(a[i]) for a in args]}")
     return x
@@ -130,8 +132,13 @@ def _newton_down(f, x, *args) -> np.ndarray:
 def bern_klucb(p: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Elementwise sup { mu : kl(p, mu) <= d } for Bernoulli KL, by Newton in
     y = -ln(1 - mu): kl(p, mu(y)) - d is increasing and convex with slope
-    (mu - p)/mu, and y0 = (d - p ln p - q ln q)/q, which solves the
-    relaxation that drops the -p ln(mu) <= 0 term, is at or above the root."""
+    (mu - p)/mu.  Two starts lie at or above the root, and Newton starts at
+    the lower: y0 = (d - p ln p - q ln q)/q, which solves the relaxation
+    that drops the -p ln(mu) <= 0 term, and y_b = -ln(1 - mu_b), where
+    mu_b = p + dq + sqrt(dq (dq + 2p)) solves (mu - p)^2 = 2 d mu q.  The
+    bound holds because kl(p, mu) is the integral over [p, mu] of
+    (x - p)/(x (1 - x)) dx, and x (1 - x) <= mu q there, so
+    kl(p, mu) >= (mu - p)^2 / (2 mu q)."""
 
     def step(y, p, lp, q, qlq, d):
         mu = 1.0 - np.exp(-y)
@@ -139,11 +146,16 @@ def bern_klucb(p: np.ndarray, d: np.ndarray) -> np.ndarray:
 
     out = np.where(p > 0.0, p, -np.expm1(-d))  # kl(0, mu) = -ln(1 - mu); p = 1 stays 1
     gen = (d > 0.0) & (p > 0.0) & (p < 1.0)
-    if gen.any():
+    if np.count_nonzero(gen):
         p, d = p[gen], d[gen]
         q = 1.0 - p
         lp, qlq = np.log(p), q * np.log(q)
-        out[gen] = 1.0 - np.exp(-_newton_down(step, (d - p * lp - qlq) / q, p, lp, q, qlq, d))
+        dq = d * q
+        mu_b = p + dq + np.sqrt(dq * (dq + 2.0 * p))
+        with np.errstate(divide="ignore"):  # mu_b >= 1 bounds nothing: y_b = inf
+            y_b = -np.log1p(-np.minimum(mu_b, 1.0))
+        y = np.minimum((d - p * lp - qlq) / q, y_b)
+        out[gen] = 1.0 - np.exp(-_newton_down(step, y, p, lp, q, qlq, d))
     return out
 
 

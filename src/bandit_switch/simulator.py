@@ -205,9 +205,10 @@ def _policy_engine(scenario: Scenario, spec: PolicySpec, *_) -> str:
 # Narrowest vector chunk given a worker of its own, in (run, arm) cells.
 # A step of `_vector.simulate` costs about a + b * cells; four fits of
 # per-step CPU time on fig1-left's arms (horizon 600 or 3000, widths 100
-# to 800 or 1600) put the break-even width a / b at 710-1010 cells for the
-# klucb families (a 135-190 us, b 0.16-0.21 us) and at most 440 for imed,
-# ucb and moss.  This is the largest, rounded up to a power of two.
+# to 1600, min over 4-12 repetitions) put the break-even width a / b at
+# 700-970 cells for the klucb families (a 90-110 us, b 0.11-0.14 us) and
+# at most 440 for imed, ucb and moss.  This is the largest, rounded up to
+# a power of two; fits on a loaded machine scatter up to about 1,100.
 _MIN_CHUNK_CELLS = 1024
 
 

@@ -4,6 +4,8 @@ library itself."""
 
 import math
 
+import mpmath
+
 from bandit_switch.kinf import kinf
 
 
@@ -66,3 +68,28 @@ def klucb_index(nu, threshold: float) -> float:
         else:
             hi = mid
     return 1.0 if 1.0 - lo <= 1e-12 else lo
+
+
+def bern_kl_root_y(p: float, threshold: float, dps: int = 40):
+    """Bracket [lo, hi], as ``dps``-digit mpmath numbers, of the root in
+    y = -ln(1 - mu) of kl(p, mu) = threshold on mu >= p, for p in (0, 1)
+    and threshold > 0, by bisection until hi - lo <= 10^-(dps - 5) hi."""
+    with mpmath.workdps(dps):
+        p, d = mpmath.mpf(p), mpmath.mpf(threshold)
+        q = 1 - p
+
+        def kl(y):  # p ln(p / mu) + q ln(q / (1 - mu)) at mu = 1 - e^-y
+            return p * (mpmath.log(p) - mpmath.log(-mpmath.expm1(-y))) + q * (mpmath.log(q) + y)
+
+        lo = -mpmath.log1p(-p)  # kl = 0
+        hi = lo + 1
+        while kl(hi) <= d:
+            lo, hi = hi, 2 * hi
+        tol = mpmath.mpf(10) ** (5 - dps)
+        while hi - lo > tol * hi:
+            mid = (lo + hi) / 2
+            if kl(mid) <= d:
+                lo = mid
+            else:
+                hi = mid
+        return lo, hi

@@ -9,11 +9,16 @@ stationary point for two-atom distributions.
 import importlib
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from bandit_switch import (
+    BanditInstance,
+    Bernoulli,
     EmpiricalDistribution,
+    PolicySpec,
     bernoulli_kl,
     h_derivative,
     h_value,
@@ -21,11 +26,13 @@ from bandit_switch import (
     kinf_weighted,
     kinf_witness,
     klucb_index,
+    run_seed,
 )
+from bandit_switch import _vector
 from bandit_switch._vector import _newton_down, bern_klucb, exp_klucb
 from bandit_switch.kinf import KinfResult, kl_term
 import oracles
-from oracles import exp_kl_index
+from oracles import bern_kl_root_y, exp_kl_index
 
 
 def random_dist(rng, max_atoms=20):
@@ -484,6 +491,59 @@ def test_newton_raises_on_an_element_that_does_not_stop():
         _newton_down(lambda x, s: s * x, x, np.array([1.0, 0.01]))
     with pytest.raises(RuntimeError, match=r"did not converge .*\[2\.0\]"):
         _newton_down(lambda x, s: np.where(s > 1.5, np.nan, x), x, np.array([1.0, 2.0]))
+
+
+@given(
+    p=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    d=st.floats(1e-12, 50.0),
+)
+def test_bern_klucb_start_is_certified_and_the_result_matches_the_root(p, d):
+    # the start of the Newton in y = -ln(1 - mu), in 40-digit arithmetic:
+    # the relaxation's y0 and the quadratic bound's y_b where mu_b < 1
+    lo, hi = bern_kl_root_y(p, d)
+    with mpmath.workdps(40):
+        mp, md = mpmath.mpf(p), mpmath.mpf(d)
+        mq = 1 - mp
+        start = (md - mp * mpmath.log(mp) - mq * mpmath.log(mq)) / mq
+        dq = md * mq
+        mu_b = mp + dq + mpmath.sqrt(dq * (dq + 2 * mp))
+        if mu_b < 1:
+            start = min(start, -mpmath.log1p(-mu_b))
+        assert start >= lo
+        root = float(-mpmath.expm1(-hi))
+        mu_start = float(-mpmath.expm1(-start))
+    b = float(bern_klucb(np.array([p]), np.array([d]))[0])
+    assert abs(b - root) <= 1e-10
+    # Newton only steps down, but its first step is taken before the stop
+    # test: from a start within the evaluation noise of kl - d (d near
+    # 1e-12, or p near 0) that step may be negative, by up to about 6e-11
+    assert b <= mu_start + 1e-10
+
+
+def test_bern_klucb_newton_stops_within_six_steps_on_fig1_left(monkeypatch):
+    # fig1-left's arms and base seed, 200 runs of 600 steps; the quadratic
+    # start takes 5 steps per call here, the relaxation start alone up to 11
+    newton = _vector._newton_down
+    steps = []
+
+    def counting(f, x, *args):
+        calls = [0]
+
+        def counted(*a):
+            calls[0] += 1
+            return f(*a)
+
+        out = newton(counted, x, *args)
+        steps.append(calls[0])
+        return out
+
+    monkeypatch.setattr(_vector, "_newton_down", counting)
+    bandit = BanditInstance((Bernoulli(0.9), Bernoulli(0.8)))
+    roster = {2: PolicySpec("klucb-anytime"), 3: PolicySpec("klucb-switch-anytime", switch_exponent=8.0 / 9.0)}
+    for i, spec in roster.items():
+        steps.clear()
+        _vector.simulate(bandit, spec, 600, [run_seed(20_240_301, i, r) for r in range(200)], [600])
+        assert steps and max(steps) <= 6, (spec.family, max(steps))
 
 
 def test_exp_kl_index_clamped_to_unit_interval():
