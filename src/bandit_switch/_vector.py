@@ -1,22 +1,19 @@
-"""The index kernel of both simulation engines, and the vectorised engine.
+"""The index kernel and the one simulation loop.
 
-:func:`_indices` is the only place an index is computed.  It works on
-state arrays of shape (runs, arms): the vectorised engine
-:func:`simulate` calls it on a batch of independent runs, the scalar
-reference engine (:func:`.policies.select_arm`, driven by
-:mod:`.simulator`) on one run, shape (1, arms).  Rewards and tie-breaks
-come from the counter-based hash in :mod:`._rng`, and the Bernoulli and
-exponential KL are inverted by one Newton iteration, :func:`_newton_down`,
-stopped element by element; so each index, and each run's trajectory, is
-the same whether it is computed here, in another batch split, or one run
-at a time.
+:func:`_indices` is the only place an index is computed, and
+:func:`simulate` the only per-step loop.  Both work on state arrays of
+shape (runs, arms): a batch of independent runs, or one run (also
+:func:`.policies.select_arm`'s state).  Rewards and tie-breaks come from
+the counter-based hash in :mod:`._rng`, and the Bernoulli and exponential
+KL are inverted by one Newton iteration, :func:`_newton_down`, stopped
+element by element; so each run's trajectory is the same in any batch.
 
 The empirical-likelihood families (klucb*, imed) take one of two branches,
-chosen by the input.  Given one run's empirical distributions, they use
-the divergence ``kinf`` on them, arm by arm, for any support.  Without
-them every arm must be supported on {0, 1}, so that the empirical
-distribution reduces to its mean and the divergence to the Bernoulli KL.
-The batch engine takes the second branch, hence :func:`supports`.
+chosen by the input.  Given each (run, arm) cell's empirical distribution
+(``simulate(..., empirical=True)``), they use the divergence ``kinf`` on
+it, for any support.  Without them every arm must be supported on {0, 1},
+so that the empirical distribution reduces to its mean and the divergence
+to the Bernoulli KL, hence :func:`supports`.
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ._rng import CH_REWARD, CH_TIE, mix64_array, unit_uniform_array
-from .distributions import BanditInstance, Bernoulli, Dirac
+from .distributions import BanditInstance, Bernoulli, Dirac, EmpiricalDistribution
 from .kinf import kinf, klucb_index
 
 if TYPE_CHECKING:
@@ -36,8 +33,10 @@ if TYPE_CHECKING:
 
 _EMPIRICAL_EXPONENT = 8.0 / 9.0
 # Uniforms hashed per channel in one pass of :func:`simulate` (256 KiB of
-# float64): the block of steps is this many over the batch size.
+# float64): the block of steps is this many over the batch size, at most
+# _BLOCK_STEPS, since hashing holds about five temporaries of its size.
 _BLOCK_ELEMS = 1 << 15
+_BLOCK_STEPS = 1 << 10
 
 
 def supports(bandit: BanditInstance, spec: PolicySpec) -> bool:
@@ -210,6 +209,8 @@ def _draw(ctx: _Ctx, action: np.ndarray, u: np.ndarray) -> np.ndarray:
         return np.where(u < ctx.bern_p[action], 1.0, 0.0)
     if ctx.dirac_v is not None:
         return ctx.dirac_v[action]
+    if not np.count_nonzero(action != action[0]):  # one arm for every run, as for a lone run
+        return ctx.arms[action[0]].quantile(u)
     r = np.empty(action.shape)
     for a, arm in enumerate(ctx.arms):
         mask = action == a
@@ -233,14 +234,14 @@ def _tie_break(scores: np.ndarray, u, minimize: bool) -> np.ndarray:
 
 
 def _kl_upper(p: np.ndarray, d: np.ndarray, dists, mask=None) -> np.ndarray:
-    """sup { mu : divergence <= d } entrywise, for the arms selected by
-    ``mask`` (all when None): ``klucb_index`` on each arm's empirical
-    distribution when one run's ``dists`` are given, else the Bernoulli KL
+    """sup { mu : divergence <= d } entrywise, for the (run, arm) cells
+    selected by ``mask`` (all when None): ``klucb_index`` on each cell's
+    empirical distribution when ``dists`` are given, else the Bernoulli KL
     on the mean ``p``."""
     if dists is None:
         return bern_klucb(p, d)
-    arms = range(len(dists)) if mask is None else np.flatnonzero(mask)
-    return np.array([klucb_index(dists[a], x) for a, x in zip(arms, d.ravel().tolist())]).reshape(p.shape)
+    cells = range(len(dists)) if mask is None else np.flatnonzero(mask)
+    return np.array([klucb_index(dists[c], x) for c, x in zip(cells, d.ravel().tolist())]).reshape(p.shape)
 
 
 def _indices(ctx: _Ctx, n: np.ndarray, s: np.ndarray, t: int, dists=None) -> np.ndarray:
@@ -248,9 +249,10 @@ def _indices(ctx: _Ctx, n: np.ndarray, s: np.ndarray, t: int, dists=None) -> np.
     >= 1) and reward sums ``s``, both of shape (runs, arms).  For imed the
     index is a score to *minimise*; every other family maximises.
 
-    ``dists``, one run's empirical distributions (runs = 1), selects the
-    ``kinf`` branch of the empirical-likelihood families; without it they
-    take the Bernoulli branch, exact for arms supported on {0, 1}.
+    ``dists``, the empirical distribution of every cell in the flat
+    ``run * arms + arm`` order, selects the ``kinf`` branch of the
+    empirical-likelihood families; without it they take the Bernoulli
+    branch, exact for arms supported on {0, 1}.
     """
     spec = ctx.spec
     fam = spec.family
@@ -291,8 +293,8 @@ def _indices(ctx: _Ctx, n: np.ndarray, s: np.ndarray, t: int, dists=None) -> np.
             kl = np.where(mean >= pmax, 0.0, _bern_kl_vec(mean, pmax))
         else:
             kl = np.zeros_like(mean)
-            for a in np.flatnonzero(mean < pmax):
-                kl[0, a] = kinf(dists[a], float(pmax[0, 0])).value
+            for c in np.flatnonzero(mean < pmax):
+                kl.flat[c] = kinf(dists[c], float(pmax[c // k, 0])).value
         return n * kl + np.log(n)
     raise AssertionError(f"unhandled family {fam!r}")
 
@@ -304,9 +306,14 @@ def simulate(
     seeds,
     record_grid,
     record_actions: bool = False,
+    *,
+    empirical: bool = False,
+    bins: int | None = None,
 ):
     """Simulate one run per seed; return pseudo-regret at the recorded
-    steps as a (runs, grid) array, plus the action log when asked.
+    steps as a (runs, grid) array, plus the action log when asked.  With
+    ``empirical``, each (run, arm) cell keeps its empirical distribution
+    (atoms rounded to ``bins`` when set) for the ``kinf`` branch.
 
     The uniforms of both channels are hashed for a block of steps at a
     time, about ``_BLOCK_ELEMS`` per channel; they do not depend on the
@@ -322,6 +329,7 @@ def simulate(
     n = np.zeros((runs, k))
     s = np.zeros((runs, k))
     n_cells, s_cells = n.reshape(-1), s.reshape(-1)  # views: cell (run, arm) is run*k + arm
+    dists = [EmpiricalDistribution(bins=bins) for _ in range(runs * k)] if empirical else None
     row_base = np.arange(runs) * k
     regret = np.zeros(runs)
     gpos = np.full(horizon + 1, -1, dtype=np.int64)
@@ -330,7 +338,7 @@ def simulate(
     out = np.empty((runs, len(record_grid)))
     actions = np.empty((runs, horizon), dtype=np.int32) if record_actions else None
 
-    block = max(1, min(_BLOCK_ELEMS // runs, horizon))
+    block = max(1, min(_BLOCK_ELEMS // runs, _BLOCK_STEPS, horizon))
     for lo in range(1, horizon + 1, block):
         steps = np.arange(lo, min(lo + block, horizon + 1))
         u_ties = unit_uniform_array(keys, steps, CH_TIE)
@@ -342,12 +350,15 @@ def simulate(
                 # ``scores`` stays referenced until the next step's is built:
                 # freeing every (runs, K) temporary at once lets malloc trim
                 # the heap, and large batches then page-fault it back each step.
-                scores = _indices(ctx, n, s, step - 1)
+                scores = _indices(ctx, n, s, step - 1, dists)
                 action = _tie_break(scores, u_tie, minimize)
             r = _draw(ctx, action, u)
             cell = row_base + action
             s_cells[cell] += r
             n_cells[cell] += 1.0
+            if dists is not None:
+                for c, x in zip(cell.tolist(), r.tolist()):
+                    dists[c]._push(x)
             regret += gaps[action]
             if actions is not None:
                 actions[:, step - 1] = action

@@ -120,11 +120,7 @@ def _expand_run_config(cfg: dict) -> dict:
         if name not in PRESETS:
             raise ConfigurationError(f"unknown preset {name!r}; known: {sorted(PRESETS)}")
         merged = dict(PRESETS[name])
-        overrides = {k: v for k, v in cfg.items() if k != "preset"}
-        bad = set(overrides) - _RUN_KEYS
-        if bad:
-            raise ConfigurationError(f"unknown config keys: {sorted(bad)}")
-        merged.update(overrides)
+        merged.update((k, v) for k, v in cfg.items() if k != "preset")
         cfg = merged
     bad = set(cfg) - _RUN_KEYS
     if bad:
@@ -365,19 +361,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--parallelism", type=int, default=None, help="worker processes (default: cores; env BANDIT_SWITCH_THREADS)")
-        p.add_argument("--seed", type=int, default=None, help="override the configured base seed")
         p.add_argument("--out-dir", default=None, help="output directory (default: current)")
         p.add_argument("--runs", type=int, default=None, help="override the configured run count")
 
     p_run = sub.add_parser("run", help="run one scenario from a JSON config or preset")
     p_run.add_argument("config", help="path to the scenario JSON (or a meta.json echo)")
-    common(p_run)
-    p_run.set_defaults(func=cmd_run)
-
     p_sweep = sub.add_parser("sweep", help="run a one-axis sweep (x, K or T) of a gap-profile preset")
     p_sweep.add_argument("config", help="path to the sweep JSON")
-    common(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
+    for p, func in ((p_run, cmd_run), (p_sweep, cmd_sweep)):  # verify's checks carry fixed seeds
+        common(p)
+        p.add_argument("--seed", type=int, default=None, help="override the configured base seed")
+        p.set_defaults(func=func)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", help=f"one of: {', '.join(SUITES)}")

@@ -20,8 +20,8 @@ The exploration function is a configuration axis: ``log_plus`` is the
 plain positive-part logarithm, ``augmented_phi`` the inflated variant
 x -> ln_+(x (1 + ln_+^2 x)) used by the theoretical anytime indices.
 
-Every index is computed by the kernel in :mod:`._vector`, which the
-vectorised engine shares; this module holds the policy configuration, the
+Every index is computed by the kernel in :mod:`._vector`, which its
+simulation loop shares; this module holds the policy configuration, the
 one-run state, and the one-run entry points :func:`indices` and
 :func:`select_arm`.
 """

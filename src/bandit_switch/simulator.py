@@ -1,13 +1,13 @@
 """Episode execution and Monte-Carlo aggregation of regret curves.
 
-``run_episode`` is the scalar reference engine: one run, plain Python
-loop, indices computed on the run's (1, K) state by the kernel in
-:mod:`._vector`.  ``monte_carlo`` fans a scenario out over per-run seeds
+Both engines are the one loop :func:`._vector.simulate`.  The scalar
+reference engine, ``run_episode``, runs it on one run with its empirical
+distributions, so the empirical-likelihood families use ``kinf`` on any
+support; the vectorised engine runs it on a batch without them, where
+that is exact.  ``monte_carlo`` fans a scenario out over per-run seeds
 derived from ``(base_seed, policy ordinal, run ordinal)`` and aggregates
-pseudo-regret at the recorded steps; when the policy/arm combination
-allows it, runs are simulated in vectorised batches by :mod:`._vector`,
-which reproduces the scalar engine run for run.  Every (policy, chunk)
-job of one call goes through a single worker pool.
+pseudo-regret at the recorded steps.  Every (policy, chunk) job of one
+call goes through a single worker pool.
 
 Regret is pseudo-regret, the gap-weighted count of sub-optimal pulls
 ``sum_a gap_a * N_a(t)``; its expectation is the usual expected regret and
@@ -24,9 +24,9 @@ from typing import Optional
 import numpy as np
 
 from . import _vector
-from ._rng import CH_REWARD, CH_TIE, derive_key, mix64, unit_uniform
+from ._rng import derive_key
 from .distributions import BanditInstance, ConfigurationError, integer, positive_int
-from .policies import PolicySpec, PolicyState, select_arm, update
+from .policies import PolicySpec
 
 __all__ = [
     "ConfigurationError",
@@ -138,7 +138,8 @@ def run_episode(
     seed: int,
     bins: Optional[int] = None,
 ) -> EpisodeResult:
-    """Scalar reference episode: each arm once, then the index loop.
+    """Scalar reference episode: :func:`._vector.simulate` on one run with
+    its empirical distributions, recording every step.
 
     Deterministic in ``seed``; rewards and tie-breaks are pure functions
     of (seed, step), so the same seed always replays the same run.
@@ -146,49 +147,17 @@ def run_episode(
     k = bandit.k
     if horizon < k:
         raise ConfigurationError("horizon must be at least the number of arms")
-    key = mix64(seed)
-    state = PolicyState.fresh(k, bins=bins)
-    gaps = bandit.gaps
-    trajectory = np.empty(horizon)
-    actions = np.empty(horizon, dtype=np.int32)
-    regret = 0.0
-
-    for step in range(1, k + 1):
-        a = step - 1
-        u = unit_uniform(key, step, CH_REWARD)
-        r = float(bandit.arms[a].quantile(u))
-        update(state, a, r)
-        regret += gaps[a]
-        trajectory[step - 1] = regret
-        actions[step - 1] = a
-
-    for step in range(k + 1, horizon + 1):
-        tie_u = unit_uniform(key, step, CH_TIE)
-        a = select_arm(spec, state, tie_u=tie_u)
-        u = unit_uniform(key, step, CH_REWARD)
-        r = float(bandit.arms[a].quantile(u))
-        update(state, a, r)
-        regret += gaps[a]
-        trajectory[step - 1] = regret
-        actions[step - 1] = a
-
-    pulls = state.counts[0].astype(np.int64)
-    return EpisodeResult(trajectory=trajectory, pulls=pulls, actions=actions)
-
-
-def _scalar_chunk(bandit, spec, horizon, grid, seeds, bins):
-    grid_idx = np.asarray(grid, dtype=np.int64) - 1
-    out = np.empty((len(seeds), len(grid)))
-    for i, sd in enumerate(seeds):
-        out[i] = run_episode(bandit, spec, horizon, sd, bins=bins).trajectory[grid_idx]
-    return out
+    steps = range(1, horizon + 1)
+    regrets, actions = _vector.simulate(bandit, spec, horizon, [seed], steps, record_actions=True, empirical=True, bins=bins)
+    return EpisodeResult(trajectory=regrets[0], pulls=np.bincount(actions[0], minlength=k), actions=actions[0])
 
 
 def _chunk_worker(args):
+    # Scalar-engine runs go one at a time: their distributions grow by an atom per pull.
     bandit, spec, horizon, grid, seeds, engine, bins = args
     if engine == "vector":
         return _vector.simulate(bandit, spec, horizon, seeds, grid)
-    return _scalar_chunk(bandit, spec, horizon, grid, seeds, bins)
+    return np.vstack([_vector.simulate(bandit, spec, horizon, [sd], grid, empirical=True, bins=bins) for sd in seeds])
 
 
 def _policy_engine(scenario: Scenario, spec: PolicySpec, *_) -> str:

@@ -230,7 +230,6 @@ def _balanced_splits(jobs, parts: int) -> list:
 
 def kinf_grid_oracle_check(
     n_dists: int = 500,
-    mus_per_dist: int = 1,
     grid_points: int = 1_000_000,
     seed: int = 20_240_101,
     tol: float = 1e-6,
@@ -245,10 +244,8 @@ def kinf_grid_oracle_check(
     jobs = []
     for i in range(n_dists):
         dist = _random_empirical(rng)
-        m = dist.mean
-        for _ in range(mus_per_dist):
-            mu = float(rng.uniform(max(m - 0.05, 1e-3), 0.999))
-            jobs.append((f"dist {i}, mu={mu:.4f}", dist.values, dist.counts, mu))
+        mu = float(rng.uniform(max(dist.mean - 0.05, 1e-3), 0.999))
+        jobs.append((f"dist {i}, mu={mu:.4f}", dist.values, dist.counts, mu))
     if parallelism > 1 and len(jobs) > 8:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -262,7 +259,7 @@ def kinf_grid_oracle_check(
     return BoundCheckReport(
         bound_name="kinf-grid-oracle",
         points=points,
-        runs=n_dists * mus_per_dist,
+        runs=n_dists,
         notes=f"{grid_points}-point uniform lambda grid",
         values={"worst_gap": worst},
     )
@@ -387,7 +384,11 @@ def kinf_integrated_deviation_check(arm, n: int, eps_grid, runs: int, seed: int)
     return BoundCheckReport(f"kinf-integrated-deviation[{arm.kind},n={n}]", points, runs)
 
 
-def kinf_concentration_check(arm, mu: float, n_grid, runs: int, seed: int, x_fracs=None) -> BoundCheckReport:
+# Thresholds x of the concentration check, as fractions of kinf(arm, mu).
+_CONCENTRATION_X_FRACS = np.linspace(0.0, 0.9, 10)
+
+
+def kinf_concentration_check(arm, mu: float, n_grid, runs: int, seed: int) -> BoundCheckReport:
     """Two-regime lower-tail bound on kinf(empirical_n, mu) below the
     population value, with the variance proxy gamma(mu)."""
     support = _finite_support(arm)
@@ -398,12 +399,11 @@ def kinf_concentration_check(arm, mu: float, n_grid, runs: int, seed: int, x_fra
         raise ValueError("mu must exceed the arm mean and stay below 1")
     k_true = kinf_weighted(support[0], support[1], mu).value
     gamma = concentration_gamma(mu)
-    x_fracs = x_fracs if x_fracs is not None else np.linspace(0.0, 0.9, 10)
     rng = np.random.default_rng(seed)
     points = []
     for n in n_grid:
         vals = _resampled_kinf(arm, int(n), mu, runs, rng)
-        for frac in x_fracs:
+        for frac in _CONCENTRATION_X_FRACS:
             x = frac * k_true
             freq = float(np.mean(vals <= x))
             se = math.sqrt(freq * (1.0 - freq) / runs)
@@ -431,6 +431,10 @@ def gamma_floor_check(mu_grid=None) -> BoundCheckReport:
     return BoundCheckReport("concentration-gamma-floor", points, 0, notes="analytic, no sampling")
 
 
+# The maximal Hoeffding checks take the maximum over n in [N, 50 N].
+_HOEFFDING_CAP_FACTOR = 50
+
+
 def _max_deviation_stream(arm, n_start: int, cap: int, runs: int, rng, sign: float) -> np.ndarray:
     """Per run, max over n in [n_start, cap] of sign*(mean_n - mu)."""
     mu = arm.true_mean()
@@ -447,14 +451,14 @@ def _max_deviation_stream(arm, n_start: int, cap: int, runs: int, rng, sign: flo
     return out
 
 
-def hoeffding_max_check(arm, n_start: int, u_grid, runs: int, seed: int, cap_factor: int = 50) -> BoundCheckReport:
+def hoeffding_max_check(arm, n_start: int, u_grid, runs: int, seed: int) -> BoundCheckReport:
     """Maximal Hoeffding: P[max_{n>=N} (mean_n - mu) >= u] <= e^(-2 N u^2).
 
     The maximum is truncated to n in [N, 50N]; the truncated event is a
     subset of the untruncated one, so the check stays conservative-valid.
     """
     rng = np.random.default_rng(seed)
-    mx = _max_deviation_stream(arm, n_start, cap_factor * n_start, runs, rng, sign=1.0)
+    mx = _max_deviation_stream(arm, n_start, _HOEFFDING_CAP_FACTOR * n_start, runs, rng, sign=1.0)
     points = []
     for u in u_grid:
         freq = float(np.mean(mx >= u))
@@ -465,15 +469,15 @@ def hoeffding_max_check(arm, n_start: int, u_grid, runs: int, seed: int, cap_fac
         f"hoeffding-max[{arm.kind},N={n_start}]",
         points,
         runs,
-        notes=f"maximum truncated to n in [N, {cap_factor}N]",
+        notes=f"maximum truncated to n in [N, {_HOEFFDING_CAP_FACTOR}N]",
     )
 
 
-def hoeffding_integrated_check(arm, n_start: int, eps_grid, runs: int, seed: int, cap_factor: int = 50) -> BoundCheckReport:
+def hoeffding_integrated_check(arm, n_start: int, eps_grid, runs: int, seed: int) -> BoundCheckReport:
     """Integrated form: E[(max_{n>=N} (mu - mean_n - eps))+]
     <= sqrt(pi/8) sqrt(1/N) e^(-2 N eps^2)."""
     rng = np.random.default_rng(seed)
-    mx = _max_deviation_stream(arm, n_start, cap_factor * n_start, runs, rng, sign=-1.0)
+    mx = _max_deviation_stream(arm, n_start, _HOEFFDING_CAP_FACTOR * n_start, runs, rng, sign=-1.0)
     points = []
     for eps in eps_grid:
         vals = np.maximum(mx - eps, 0.0)

@@ -1,11 +1,14 @@
-"""Slow but obviously-correct references that the library's inversions are
-tested against.  They are independent implementations, not used by the
-library itself."""
+"""Slow but obviously-correct references that the library's inversions and
+its simulation loop are tested against.  They are independent
+implementations, not used by the library itself."""
 
 import math
 
 import mpmath
+import numpy as np
 
+from bandit_switch import PolicyState, select_arm, update
+from bandit_switch._rng import CH_REWARD, CH_TIE, mix64, unit_uniform
 from bandit_switch.kinf import kinf
 
 
@@ -93,3 +96,26 @@ def bern_kl_root_y(p: float, threshold: float, dps: int = 40):
             else:
                 hi = mid
         return lo, hi
+
+
+def scalar_episode(bandit, spec, horizon: int, seed: int, bins=None):
+    """One run by a plain per-step loop over the public one-run API, the
+    reference for ``run_episode``: each arm once, then the index policy,
+    with scalar-hashed uniforms and one reward drawn at a time.  Returns
+    (trajectory, pulls, actions)."""
+    key = mix64(seed)
+    k = bandit.k
+    state = PolicyState.fresh(k, bins=bins)
+    trajectory = np.empty(horizon)
+    actions = np.empty(horizon, dtype=np.int32)
+    regret = 0.0
+    for step in range(1, horizon + 1):
+        if step <= k:
+            a = step - 1
+        else:
+            a = select_arm(spec, state, tie_u=unit_uniform(key, step, CH_TIE))
+        update(state, a, float(bandit.arms[a].quantile(unit_uniform(key, step, CH_REWARD))))
+        regret += bandit.gaps[a]
+        trajectory[step - 1] = regret
+        actions[step - 1] = a
+    return trajectory, state.counts[0].astype(np.int64), actions

@@ -50,6 +50,14 @@ def test_preset_and_sweep_csv_bits_match_the_golden_digests(tmp_path):
     argv = ["sweep", sweep_cfg, "--out-dir", str(tmp_path / "sweep"), "--parallelism", "1", "--runs", "4"]
     assert main(argv) == 0
     assert sha256(tmp_path / "sweep" / "sweep.csv") == GOLDEN["fig2_left_sweep_csv_sha256"]
+    # the continuous-arm presets run their empirical-likelihood policies on the scalar engine
+    for key, payload in (
+        ("fig1_middle_regret_csv_sha256", {"preset": "fig1-middle", "runs": 4, "horizon": 400}),
+        ("fig1_right_bins_regret_csv_sha256", {"preset": "fig1-right", "runs": 4, "horizon": 400, "bins": 50}),
+    ):
+        cfg = write_config(tmp_path, payload, f"{key}.json")
+        assert main(["run", cfg, "--out-dir", str(tmp_path / key), "--parallelism", "1"]) == 0
+        assert sha256(tmp_path / key / "regret.csv") == GOLDEN[key]
 
 
 def test_run_writes_expected_csv(tmp_path):
@@ -209,6 +217,14 @@ def test_env_var_parallelism(tmp_path, monkeypatch):
 
 def test_verify_unknown_suite_exits_2(tmp_path):
     assert main(["verify", "nope", "--out-dir", str(tmp_path)]) == 2
+
+
+def test_verify_rejects_a_seed_flag(tmp_path):
+    # every verification check carries its own fixed seed
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "lambert", "--seed", "3", "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert not (tmp_path / "verify_lambert.csv").exists()
 
 
 def test_verify_lambert_suite(tmp_path):

@@ -13,6 +13,7 @@ from bandit_switch import (
     Dirac,
     PolicySpec,
     Scenario,
+    TruncatedExponential,
     TruncatedGaussian,
     default_record_grid,
     monte_carlo,
@@ -22,6 +23,7 @@ from bandit_switch import (
 )
 from bandit_switch import _vector
 from bandit_switch._rng import CH_REWARD, CH_TIE, unit_uniform, unit_uniform_array
+from oracles import scalar_episode
 
 BERN3 = BanditInstance((Bernoulli(0.8), Bernoulli(0.5), Bernoulli(0.3)))
 
@@ -61,19 +63,19 @@ def test_trajectory_is_nondecreasing_and_bounded():
     assert ep.pulls.sum() == 400
 
 
-@pytest.mark.parametrize(
-    "family,kwargs",
-    [
-        ("ucb", {}),
-        ("moss", {"horizon": 250}),
-        ("moss-anytime", {}),
-        ("klucb", {"horizon": 250}),
-        ("klucb-anytime", {}),
-        ("klucb-switch", {"horizon": 250}),
-        ("klucb-switch-anytime", {"switch_exponent": 8.0 / 9.0}),
-        ("imed", {}),
-    ],
-)
+BERN_FAMILIES = [
+    ("ucb", {}),
+    ("moss", {"horizon": 250}),
+    ("moss-anytime", {}),
+    ("klucb", {"horizon": 250}),
+    ("klucb-anytime", {}),
+    ("klucb-switch", {"horizon": 250}),
+    ("klucb-switch-anytime", {"switch_exponent": 8.0 / 9.0}),
+    ("imed", {}),
+]
+
+
+@pytest.mark.parametrize("family,kwargs", BERN_FAMILIES)
 def test_vector_engine_replays_scalar_runs(family, kwargs):
     spec = PolicySpec(family, **kwargs)
     horizon = 250
@@ -117,8 +119,6 @@ def test_vector_engine_replays_scalar_runs_discrete_binary_arms():
 
 
 def test_vector_engine_replays_scalar_runs_exponential_comparator():
-    from bandit_switch import TruncatedExponential
-
     bandit = BanditInstance((TruncatedExponential(0.15), TruncatedExponential(0.10)))
     spec = PolicySpec("klucb-exp")
     seeds = [run_seed(8, 0, r) for r in range(3)]
@@ -398,3 +398,44 @@ def test_vector_engine_replays_scalar_runs_at_exact_ties(bandit, spec, seed):
     horizon = 60
     _, actions = _vector.simulate(bandit, spec, horizon, [seed], tuple(range(1, horizon + 1)), record_actions=True)
     assert np.array_equal(run_episode(bandit, spec, horizon, seed).actions, actions[0])
+
+
+def assert_replays_the_scalar_reference(bandit, spec, horizon, seeds, bins=None):
+    for sd in seeds:
+        ep = run_episode(bandit, spec, horizon, sd, bins=bins)
+        trajectory, pulls, actions = scalar_episode(bandit, spec, horizon, sd, bins=bins)
+        assert ep.actions.tobytes() == actions.tobytes(), f"seed {sd}: actions differ"
+        assert ep.trajectory.tobytes() == trajectory.tobytes(), f"seed {sd}: trajectories differ"
+        assert ep.pulls.tolist() == pulls.tolist()
+
+
+TRUNC_GAUSS = BanditInstance(tuple(TruncatedGaussian(m, 0.1) for m in (0.7, 0.5, 0.3)))
+TRUNC_EXP = BanditInstance(tuple(TruncatedExponential(m) for m in (0.15, 0.10, 0.05)))
+EMPIRICAL_FAMILIES = (PolicySpec("klucb-anytime"), SWITCH_8_9, PolicySpec("imed"))
+
+
+@pytest.mark.parametrize("bins", [None, 20], ids=["exact", "bins20"])
+@pytest.mark.parametrize("spec", EMPIRICAL_FAMILIES, ids=lambda spec: spec.family)
+@pytest.mark.parametrize("bandit", [TRUNC_GAUSS, TRUNC_EXP], ids=["truncgauss", "truncexp"])
+def test_run_episode_replays_the_scalar_reference_on_continuous_arms(bandit, spec, bins):
+    assert_replays_the_scalar_reference(bandit, spec, 150, [run_seed(41, 0, r) for r in range(2)], bins)
+
+
+@pytest.mark.parametrize("family,kwargs", BERN_FAMILIES)
+def test_run_episode_replays_the_scalar_reference_on_bernoulli_arms(family, kwargs):
+    assert_replays_the_scalar_reference(BERN3, PolicySpec(family, **kwargs), 250, [run_seed(31_337, 0, r) for r in range(2)])
+
+
+@pytest.mark.parametrize("bins", [None, 20], ids=["exact", "bins20"])
+@pytest.mark.parametrize("spec", EMPIRICAL_FAMILIES, ids=lambda spec: spec.family)
+def test_empirical_batch_equals_its_runs_one_at_a_time(spec, bins):
+    # each (run, arm) cell's distribution is found by its flat index
+    horizon = 120
+    seeds = [run_seed(5, 0, r) for r in range(3)]
+    grid = tuple(range(1, horizon + 1))
+    kw = dict(record_actions=True, empirical=True, bins=bins)
+    regrets, actions = _vector.simulate(TRUNC_GAUSS, spec, horizon, seeds, grid, **kw)
+    for r, sd in enumerate(seeds):
+        one, one_actions = _vector.simulate(TRUNC_GAUSS, spec, horizon, [sd], grid, **kw)
+        assert one_actions[0].tobytes() == actions[r].tobytes(), f"run {r}: actions differ"
+        assert one[0].tobytes() == regrets[r].tobytes(), f"run {r}: regrets differ"
