@@ -46,6 +46,7 @@ from .simulator import (
     RegretCurve,
     Scenario,
     default_record_grid,
+    gap_profile,
     monte_carlo,
     normalized_regret,
     run_episode,

@@ -25,8 +25,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ._rng import CH_REWARD, CH_TIE, mix64_array, unit_uniform_array
-from .distributions import BanditInstance, Bernoulli, Dirac, EmpiricalDistribution
-from .kinf import kinf, klucb_index
+from .distributions import BanditInstance, Bernoulli, EmpiricalDistribution
+from .kinf import _bern_kl, kinf, klucb_index
 
 if TYPE_CHECKING:
     from .policies import PolicySpec
@@ -173,42 +173,26 @@ def exp_klucb(h: np.ndarray, d: np.ndarray) -> np.ndarray:
     return np.minimum(h * np.exp(u), 1.0)
 
 
-def _bern_kl_vec(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    # kl(p, q) with q strictly interior; p may hit 0 or 1.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = np.where(p > 0.0, p * np.log(p / q), 0.0)
-        t2 = np.where(p < 1.0, (1.0 - p) * np.log((1.0 - p) / (1.0 - q)), 0.0)
-    return t1 + t2
-
-
 @dataclass
 class _Ctx:
     """What the kernel and the reward draw read: the policy, and the arms
-    (with their parameters as arrays when every arm is Bernoulli, resp.
-    Dirac).  The kernel reads only ``spec``."""
+    (with their parameters as an array when every arm is Bernoulli).  The
+    kernel reads only ``spec``."""
 
     spec: PolicySpec
     arms: tuple = ()
     bern_p: np.ndarray | None = None
-    dirac_v: np.ndarray | None = None
 
 
 def _make_ctx(bandit: BanditInstance, spec: PolicySpec) -> _Ctx:
     arms = bandit.arms
-    bern_p = None
-    dirac_v = None
-    if all(isinstance(a, Bernoulli) for a in arms):
-        bern_p = np.array([a.p for a in arms])
-    elif all(isinstance(a, Dirac) for a in arms):
-        dirac_v = np.array([a.value for a in arms])
-    return _Ctx(spec=spec, arms=arms, bern_p=bern_p, dirac_v=dirac_v)
+    bern_p = np.array([a.p for a in arms]) if all(isinstance(a, Bernoulli) for a in arms) else None
+    return _Ctx(spec=spec, arms=arms, bern_p=bern_p)
 
 
 def _draw(ctx: _Ctx, action: np.ndarray, u: np.ndarray) -> np.ndarray:
     if ctx.bern_p is not None:
         return np.where(u < ctx.bern_p[action], 1.0, 0.0)
-    if ctx.dirac_v is not None:
-        return ctx.dirac_v[action]
     if not np.count_nonzero(action != action[0]):  # one arm for every run, as for a lone run
         return ctx.arms[action[0]].quantile(u)
     r = np.empty(action.shape)
@@ -278,19 +262,16 @@ def _indices(ctx: _Ctx, n: np.ndarray, s: np.ndarray, t: int, dists=None) -> np.
         return _kl_upper(mean, d, dists)
     if fam in ("klucb-switch", "klucb-switch-anytime"):
         ref = spec.horizon if fam == "klucb-switch" else t
-        ratio = ref / k
-        out = _moss(mean, n, ratio, spec.exploration)
-        f = switch_value(ref, k, spec.switch_exponent)
-        kl_branch = n <= f
+        e = _explo(spec.exploration, ref / k / n)  # the budget both branches read
+        out = mean + np.sqrt(e / (2.0 * n))
+        kl_branch = n <= switch_value(ref, k, spec.switch_exponent)
         if kl_branch.any():
-            n_c = n[kl_branch]
-            d_c = _explo(spec.exploration, ratio / n_c) / n_c
-            out[kl_branch] = _kl_upper(mean[kl_branch], d_c, dists, kl_branch)
+            out[kl_branch] = _kl_upper(mean[kl_branch], (e / n)[kl_branch], dists, kl_branch)
         return out
     if fam == "imed":
         pmax = np.clip(mean.max(axis=1), 1e-9, 1.0 - 1e-9)[:, None]
         if dists is None:
-            kl = np.where(mean >= pmax, 0.0, _bern_kl_vec(mean, pmax))
+            kl = np.where(mean >= pmax, 0.0, _bern_kl(mean, pmax))
         else:
             kl = np.zeros_like(mean)
             for c in np.flatnonzero(mean < pmax):

@@ -29,12 +29,13 @@ import subprocess
 import sys
 
 from . import __version__
-from .distributions import BanditInstance, Bernoulli
+from .distributions import BanditInstance
 from .policies import _NEEDS_HORIZON, PolicySpec
 from .simulator import (
     ConfigurationError,
     Scenario,
     default_record_grid,
+    gap_profile,
     monte_carlo,
     normalized_regret,
     positive_int,
@@ -242,21 +243,6 @@ def _finite(value, name: str) -> float:
     return x
 
 
-def _sweep_scenario(policies, k: int, horizon: int, x: float, runs: int, seed: int) -> Scenario:
-    gap = x * math.sqrt(k / horizon)
-    if gap >= 0.8:
-        raise ConfigurationError(f"gap x*sqrt(K/T)={gap:.3f} pushes arm means below 0")
-    arms = (Bernoulli(0.8),) + tuple(Bernoulli(0.8 - gap) for _ in range(k - 1))
-    return Scenario(
-        bandit=BanditInstance(arms),
-        horizon=horizon,
-        policies=policies,
-        runs=runs,
-        base_seed=seed,
-        record_grid=(horizon,),
-    )
-
-
 def cmd_sweep(args) -> int:
     cfg = _load_json(args.config)
     if not isinstance(cfg, dict):
@@ -298,7 +284,7 @@ def cmd_sweep(args) -> int:
                 PolicySpec.from_config(dict(p, horizon=t) if isinstance(p, dict) and p.get("family") in _NEEDS_HORIZON else p)
                 for p in policy_cfgs
             )
-            points.append((value, k, t, _sweep_scenario(policies, k, t, x, runs, seed)))
+            points.append((value, k, t, Scenario(gap_profile(k, t, x), t, policies, runs, seed, record_grid=(t,))))
     except ConfigurationError:
         raise
     except (ValueError, TypeError) as exc:
@@ -331,9 +317,10 @@ def cmd_verify(args) -> int:
     if suite not in SUITES:
         print(f"unknown suite {suite!r}; known: {', '.join(SUITES)}", file=sys.stderr)
         return 2
+    runs = None if args.runs is None else positive_int(args.runs, "--runs")
     out_dir = args.out_dir or "."
     os.makedirs(out_dir, exist_ok=True)
-    reports = run_suite(suite, runs=args.runs, parallelism=_parallelism(args, {}))
+    reports = run_suite(suite, runs=runs, parallelism=_parallelism(args, {}))
     path = os.path.join(out_dir, f"verify_{suite}.csv")
     violations = 0
     with open(path, "w", newline="") as fh:

@@ -39,7 +39,6 @@ __all__ = [
     "kinf_witness",
     "klucb_index",
     "bernoulli_kl",
-    "kl_term",
 ]
 
 # Search cap when the distribution has an atom at 1 (there H(1) = -inf).
@@ -77,17 +76,13 @@ def _check_mu(mu: float) -> None:
         raise ValueError(f"mu must lie in the open interval (0, 1), got {mu!r}")
 
 
-def kl_term(p: float, q: float) -> float:
-    """One summand p*ln(p/q) of a discrete KL divergence.
-
-    Centralises the conventions: 0*ln(0/q) = 0 for any q >= 0, and
-    p*ln(p/0) = +inf for p > 0.
-    """
-    if p == 0.0:
-        return 0.0
-    if q == 0.0:
-        return math.inf
-    return p * math.log(p / q)
+def _bern_kl(p, q):
+    """kl(p, q) between Bernoulli laws, elementwise: 0 ln(0/q) = 0, and
+    p ln(p/0) = +inf for p > 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t1 = np.where(p > 0.0, p * np.log(p / q), 0.0)
+        t2 = np.where(p < 1.0, (1.0 - p) * np.log((1.0 - p) / (1.0 - q)), 0.0)
+    return t1 + t2
 
 
 def bernoulli_kl(p: float, q: float) -> float:
@@ -96,7 +91,7 @@ def bernoulli_kl(p: float, q: float) -> float:
         raise ValueError("Bernoulli parameters must lie in [0, 1]")
     if p == q:
         return 0.0
-    return kl_term(p, q) + kl_term(1.0 - p, 1.0 - q)
+    return float(_bern_kl(np.float64(p), np.float64(q)))
 
 
 def _z(values: np.ndarray, mu: float) -> np.ndarray:

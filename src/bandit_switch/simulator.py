@@ -25,7 +25,7 @@ import numpy as np
 
 from . import _vector
 from ._rng import derive_key
-from .distributions import BanditInstance, ConfigurationError, integer, positive_int
+from .distributions import BanditInstance, Bernoulli, ConfigurationError, integer, positive_int
 from .policies import PolicySpec
 
 __all__ = [
@@ -34,6 +34,7 @@ __all__ = [
     "EpisodeResult",
     "RegretCurve",
     "default_record_grid",
+    "gap_profile",
     "run_seed",
     "run_episode",
     "monte_carlo",
@@ -51,6 +52,15 @@ def default_record_grid(k: int, horizon: int, points: int = 50) -> tuple:
     if grid.size == 0 or grid[-1] != horizon:
         grid = np.append(grid, horizon)
     return tuple(int(g) for g in grid)
+
+
+def gap_profile(k: int, horizon: int, x: float) -> BanditInstance:
+    """The instance of the paper's Figure 2: one Bernoulli(0.8) arm and
+    ``k - 1`` arms at 0.8 - x sqrt(K/T)."""
+    gap = x * math.sqrt(k / horizon)
+    if gap >= 0.8:
+        raise ConfigurationError(f"gap x*sqrt(K/T)={gap:.3f} pushes arm means below 0")
+    return BanditInstance((Bernoulli(0.8),) + tuple(Bernoulli(0.8 - gap) for _ in range(k - 1)))
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from .distributions import (
 )
 from .kinf import bernoulli_kl, kinf, kinf_weighted, klucb_index
 from .policies import PolicySpec, PolicyState, indices, update
-from .simulator import Scenario, monte_carlo, positive_int, run_seed
+from .simulator import Scenario, gap_profile, monte_carlo, positive_int, run_seed
 from . import _vector
 
 __all__ = [
@@ -585,8 +585,7 @@ def distribution_free_check(
     closed-form distribution-free constants, and the normalized regret of
     the known-horizon switch policy below 5."""
     k = 2
-    gap = math.sqrt(k / horizon)
-    bandit = BanditInstance((Bernoulli(0.8), Bernoulli(0.8 - gap)))
+    bandit = gap_profile(k, horizon, 1.0)
     specs = (
         PolicySpec("klucb-switch", horizon=horizon, label="switch-known-T"),
         PolicySpec("moss", horizon=horizon, label="moss"),
@@ -680,9 +679,7 @@ def minimax_profile_check(
     norm = {}
     err = {}
     for k in ks:
-        gap = x * math.sqrt(k / horizon)
-        arms = (Bernoulli(0.8),) + tuple(Bernoulli(0.8 - gap) for _ in range(k - 1))
-        bandit = BanditInstance(arms)
+        bandit = gap_profile(k, horizon, x)
         specs = (
             PolicySpec("klucb-switch-anytime", switch_exponent=8.0 / 9.0, label="switch"),
             PolicySpec("ucb", label="ucb"),

@@ -138,6 +138,7 @@ def test_c08_distribution_dependent_growth():
         f"(band [{0.5 * report.values['rate']:.1f}, {3 * report.values['rate']:.1f}] on switch/moss, ordering on all)",
     )
     assert ok, violations(report)
+    assert report.values == GOLDEN["c8_values"]
 
 
 def test_c09_minimax_profile():
@@ -168,6 +169,7 @@ def test_c09_minimax_profile():
         f"switch ratio {v['switch-noinfo-ratio']:.3f} is not below the ucb ratio "
         f"{v['ucb-noinfo-ratio']:.3f} by more than 3 se ({v['contrast-margin-se']:.1f} se)"
     )
+    assert {key: v[key] for key in GOLDEN["c9_values"]} == GOLDEN["c9_values"]
 
 
 def test_c10_lambert_w():

@@ -227,6 +227,14 @@ def test_verify_rejects_a_seed_flag(tmp_path):
     assert not (tmp_path / "verify_lambert.csv").exists()
 
 
+@pytest.mark.parametrize("runs", ["0", "-3"])
+def test_verify_rejects_a_non_positive_run_count(tmp_path, capsys, runs):
+    # 0 would read as "the default", and a negative count as an empty check
+    assert main(["verify", "kinf-oracle", "--runs", runs, "--out-dir", str(tmp_path)]) == 2
+    assert "--runs must be an integer >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "verify_kinf-oracle.csv").exists()
+
+
 def test_verify_lambert_suite(tmp_path):
     assert main(["verify", "lambert", "--out-dir", str(tmp_path)]) == 0
     rows = read_rows(tmp_path / "verify_lambert.csv")

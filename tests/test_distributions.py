@@ -206,9 +206,11 @@ def test_arm_config_round_trip(arm):
 
 
 def test_arm_config_rejects_unknown():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^unknown arm kind 'cauchy'$"):
         arm_from_config({"kind": "cauchy", "x0": 0.5})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^unknown keys \['bogus'\] in 'bernoulli' arm config$"):
         arm_from_config({"kind": "bernoulli", "p": 0.5, "bogus": 1})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^missing keys \['p'\] in 'bernoulli' arm config$"):
         arm_from_config({"kind": "bernoulli"})
+    with pytest.raises(ValueError, match=r"^missing keys \['probs'\] in 'discrete' arm config$"):
+        arm_from_config({"kind": "discrete", "values": [0.0, 1.0]})

@@ -1,8 +1,12 @@
 """Source hygiene of the package: no module imports a name it never uses,
-and every private module-level name is referenced somewhere in it."""
+every private module-level name is referenced somewhere in it, and
+importing it leaves scipy unloaded."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -60,3 +64,11 @@ def test_every_private_module_level_name_is_referenced():
         f"{module}:{name}" for module, tree in TREES.items() for name in private_definitions(tree) - referenced
     }
     assert not unreferenced, f"private names that nothing references: {sorted(unreferenced)}"
+
+
+def test_importing_the_package_and_its_command_line_leaves_scipy_unloaded():
+    # only a truncated-Gaussian draw needs scipy, which takes about 0.3 s to import
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH")))))
+    code = "import sys, bandit_switch, bandit_switch.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -12,7 +12,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from bandit_switch import (
     BanditInstance,
@@ -30,7 +30,7 @@ from bandit_switch import (
 )
 from bandit_switch import _vector
 from bandit_switch._vector import _newton_down, bern_klucb, exp_klucb
-from bandit_switch.kinf import KinfResult, kl_term
+from bandit_switch.kinf import KinfResult
 import oracles
 from oracles import bern_kl_root_y, exp_kl_index
 
@@ -249,7 +249,7 @@ def witness_kl(dist, w):
     total = 0.0
     for x, c in dist.atoms:
         p = c / dist.total_count
-        total += kl_term(p, masses[x])
+        total += p * math.log(p / masses[x])
         total -= p * 0.0
     return total
 
@@ -390,6 +390,48 @@ def test_klucb_index_raises_when_the_bracket_stays_open(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# kinf as a function of y = -ln(1 - mu): convex, with slope lambda*, and
+# above the Bernoulli KL of the mean
+
+laws = st.lists(
+    st.tuples(st.floats(0.0, 1.0, allow_subnormal=False), st.integers(1, 10)),
+    min_size=1,
+    max_size=12,
+    unique_by=lambda atom: atom[0],
+).map(lambda atoms: EmpiricalDistribution(*zip(*sorted(atoms))))
+# mu from 1e-3 to 1 - 9e-4: rounding mu to a double moves y by up to
+# 1.1e-16 e^y, which the differences below would read past y = 9
+ys = st.floats(1e-3, 7.0)
+
+
+def kinf_y(nu, y: float) -> KinfResult:
+    return kinf(nu, -math.expm1(-y))
+
+
+@given(nu=laws, y1=ys, y2=ys)
+def test_kinf_is_convex_in_y(nu, y1, y2):
+    mid = kinf_y(nu, 0.5 * (y1 + y2)).value
+    assert mid <= 0.5 * (kinf_y(nu, y1).value + kinf_y(nu, y2).value) + 1e-12
+
+
+@given(nu=laws, y=ys)
+def test_kinf_slope_in_y_is_lambda_star(nu, y):
+    h = 1e-5
+    # kinf is 0 up to the mean and grows quadratically after it, so a
+    # difference across the mean's y reads half that jump in curvature
+    assume(nu.mean == 1.0 or abs(y + math.log1p(-nu.mean)) > 2.0 * h)
+    slope = (kinf_y(nu, y + h).value - kinf_y(nu, y - h).value) / (2.0 * h)
+    assert abs(slope - kinf_y(nu, y).lambda_star) <= 1e-7
+
+
+@given(nu=laws, y=ys, d=st.floats(1e-6, 20.0))
+def test_kinf_and_its_index_are_bounded_by_the_bernoulli_kl_of_the_mean(nu, y, d):
+    m, mu = nu.mean, -math.expm1(-y)
+    assert kinf(nu, mu).value >= (bernoulli_kl(m, mu) if mu > m else 0.0) - 1e-12
+    assert klucb_index(nu, d) <= float(bern_klucb(np.array([m]), np.array([d]))[0]) + 1e-12
+
+
+# ---------------------------------------------------------------------------
 # parametric divergences
 
 
@@ -406,12 +448,6 @@ def test_bernoulli_kl_values():
     assert bernoulli_kl(1.0, 1.0) == 0.0
     with pytest.raises(ValueError):
         bernoulli_kl(-0.1, 0.5)
-
-
-def test_kl_term_conventions():
-    assert kl_term(0.0, 0.0) == 0.0
-    assert kl_term(0.0, 0.5) == 0.0
-    assert kl_term(0.5, 0.0) == math.inf
 
 
 def exp_index(h: float, d: float) -> float:
