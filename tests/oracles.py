@@ -10,6 +10,7 @@ import numpy as np
 from bandit_switch import PolicyState, select_arm, update
 from bandit_switch._rng import CH_REWARD, CH_TIE, mix64, unit_uniform
 from bandit_switch.kinf import kinf
+from bandit_switch.verification import _ORACLE_BLOCK_BYTES
 
 
 def exp_kl_index(mean_hat: float, threshold: float) -> float:
@@ -96,6 +97,26 @@ def bern_kl_root_y(p: float, threshold: float, dps: int = 40):
             else:
                 hi = mid
         return lo, hi
+
+
+def grid_max(dist, mu: float, lam_grid) -> float:
+    """Largest value of the K_inf dual objective sum_j w_j log1p(-lam z_j),
+    z_j = (x_j - mu) / (1 - mu), over every point of ``lam_grid``: the
+    exhaustive scan, in the grid oracle's blocks and with its operations,
+    so that each grid value comes out with the same bits."""
+    z = (dist.values - mu) / (1.0 - mu)
+    w = dist.weights
+    rows = max(1, _ORACLE_BLOCK_BYTES // (8 * z.size))
+    buf = np.empty((rows, z.size))
+    best = -math.inf
+    with np.errstate(divide="ignore"):
+        for lo in range(0, lam_grid.size, rows):
+            lam = lam_grid[lo : lo + rows]
+            view = buf[: lam.size]
+            np.multiply.outer(lam, -z, out=view)
+            np.log1p(view, out=view)
+            best = max(best, float((view @ w).max()))
+    return best
 
 
 def scalar_episode(bandit, spec, horizon: int, seed: int, bins=None):

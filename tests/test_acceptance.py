@@ -46,6 +46,8 @@ def test_c01_kinf_grid_oracle():
     )
     assert report.ok, violations(report)
     assert elapsed < 60.0, f"runtime {elapsed:.1f}s exceeds the 60s budget"
+    assert report.values["worst_gap"] == GOLDEN["c1_worst_gap"]
+    assert report.points[0].label == f"max |newton - grid| ({GOLDEN['c1_worst_label']})"
 
 
 def test_c02_bernoulli_identity():

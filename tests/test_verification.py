@@ -5,11 +5,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from bandit_switch import Bernoulli, ConfigurationError, TruncatedGaussian
+from bandit_switch import Bernoulli, ConfigurationError, EmpiricalDistribution, TruncatedGaussian
 from bandit_switch.kinf import bernoulli_kl, kinf_weighted
 from bandit_switch.verification import (
     BOUND_IDS,
+    _block_bounds,
+    _grid_max,
+    _interval_bounds,
+    _oracle_jobs,
     SUITES,
     concentration_gamma,
     gamma_floor_check,
@@ -25,6 +30,7 @@ from bandit_switch.verification import (
     run_suite,
     theoretical_bounds,
 )
+from oracles import grid_max
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +188,83 @@ def test_grid_oracle_does_not_depend_on_parallelism():
     serial = kinf_grid_oracle_check(n_dists=12, grid_points=100_000, parallelism=1)
     pooled = kinf_grid_oracle_check(n_dists=12, grid_points=100_000, parallelism=2)
     assert serial.ok
-    assert serial.values["worst_gap"] == pooled.values["worst_gap"]
+    assert serial.values == pooled.values
     assert serial.points[0].label == pooled.points[0].label
+    assert serial.notes == pooled.notes
+
+
+def test_grid_oracle_reports_the_blocks_it_evaluated():
+    report = kinf_grid_oracle_check(n_dists=16, grid_points=1_000_000, parallelism=1)
+    evaluated, total = report.values["blocks_evaluated"], report.values["blocks_total"]
+    assert 16 <= evaluated < total
+    assert report.notes == f"1000000-point uniform lambda grid; {evaluated} of {total} blocks evaluated"
+
+
+def _oracle_laws(n_dists):
+    return [(EmpiricalDistribution(values, counts), mu) for _, values, counts, mu in _oracle_jobs(n_dists, 20_240_101)]
+
+
+def test_grid_oracle_maximum_equals_the_exhaustive_scan_on_the_c1_laws():
+    # on about 2 % of these laws the block with the highest bound does not
+    # hold the maximum, so stopping too early shows here
+    lam_grid = np.linspace(0.0, 1.0, 100_000)
+    differ = [
+        i
+        for i, (dist, mu) in enumerate(_oracle_laws(500))
+        if _grid_max(dist, mu, lam_grid)[0].hex() != grid_max(dist, mu, lam_grid).hex()
+    ]
+    assert differ == []
+
+
+_FLAT = EmpiricalDistribution([0.1, 0.6, 0.8], [3, 1, 2])
+_EDGE_LAWS = [
+    ("one atom", EmpiricalDistribution([0.3], [4]), 0.6),
+    ("one atom at mu", EmpiricalDistribution([0.5], [1]), 0.5),
+    ("atoms at 0 and 1", EmpiricalDistribution([0.0, 1.0], [3, 2]), 0.7),
+    ("atoms at 0, 1 and inside", EmpiricalDistribution([0.0, 0.4, 1.0], [1, 5, 1]), 0.45),
+    ("an atom at mu", EmpiricalDistribution([0.2, 0.5, 0.9], [2, 1, 3]), 0.5),
+    ("mu = 0.999", EmpiricalDistribution([0.1, 0.5, 0.998], [1, 2, 7]), 0.999),
+    ("mu = 0.999, atom at 1", EmpiricalDistribution([0.0, 1.0], [1, 9]), 0.999),
+    ("mu just above the mean", _FLAT, _FLAT.mean + 1e-9),
+    ("mu below the mean", _FLAT, _FLAT.mean - 0.05),
+]
+# 131_073 points in 65_536-row blocks (two atoms): the last block is lam = 1 alone
+_EDGE_GRIDS = (100_000, 131_073, 1_000_000)
+
+
+@pytest.mark.parametrize(
+    "dist,mu,grid_points",
+    [(dist, mu, 1_000_000) for dist, mu in _oracle_laws(16)]
+    + [(dist, mu, n) for _, dist, mu in _EDGE_LAWS for n in _EDGE_GRIDS],
+    ids=[f"verify-solver-law-{i}" for i in range(16)]
+    + [f"{name}-{n}" for name, _, _ in _EDGE_LAWS for n in _EDGE_GRIDS],
+)
+def test_grid_oracle_maximum_equals_the_exhaustive_scan(dist, mu, grid_points):
+    lam_grid = np.linspace(0.0, 1.0, grid_points)
+    best, evaluated, total = _grid_max(dist, mu, lam_grid)
+    assert best.hex() == grid_max(dist, mu, lam_grid).hex()
+    assert 1 <= evaluated <= total
+
+
+laws = st.lists(
+    st.tuples(st.floats(0.0, 1.0, allow_subnormal=False), st.integers(1, 10)),
+    min_size=1,
+    max_size=20,
+    unique_by=lambda atom: atom[0],
+).map(lambda atoms: EmpiricalDistribution(*zip(*sorted(atoms))))
+
+
+@given(dist=laws, mu=st.floats(1e-3, 0.999), grid_points=st.integers(2, 5_000), data=st.data())
+def test_grid_values_are_bounded_by_the_interval_end_bound(dist, mu, grid_points, data):
+    lo = data.draw(st.integers(0, grid_points - 1))
+    hi = data.draw(st.integers(lo, grid_points - 1))
+    lam = np.linspace(0.0, 1.0, grid_points)
+    z = (dist.values - mu) / (1.0 - mu)
+    w = dist.weights
+    with np.errstate(divide="ignore"):
+        values = np.log1p(np.multiply.outer(lam[lo : hi + 1], -z)) @ w
+        bound = _interval_bounds(z, w, lam[[lo]], lam[[hi]])[0]
+    assert values.max() <= bound + 1e-12
 
 
 @pytest.mark.parametrize("parallelism,pools", [(2, 1), (1, 0)])
@@ -234,3 +315,15 @@ def test_run_suite_smoke_lambert():
     reports = run_suite("lambert")
     assert len(reports) == 1
     assert reports[0].ok
+
+
+@given(dist=laws, mu=st.floats(1e-3, 0.999), grid_points=st.integers(2, 2_000), rows=st.integers(1, 300))
+def test_grid_values_are_bounded_by_their_block_bound(dist, mu, grid_points, rows):
+    lam = np.linspace(0.0, 1.0, grid_points)
+    z = (dist.values - mu) / (1.0 - mu)
+    w = dist.weights
+    with np.errstate(divide="ignore"):
+        values = np.log1p(np.multiply.outer(lam, -z)) @ w
+        bounds = _block_bounds(z, w, lam, rows)
+    assert bounds.size == -(-grid_points // rows)
+    assert np.all(values <= np.repeat(bounds, rows)[:grid_points] + 1e-12)
