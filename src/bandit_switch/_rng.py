@@ -66,16 +66,26 @@ def unit_uniform_array(keys: np.ndarray, step, channel: int) -> np.ndarray:
     yields the same values.
     """
     steps = np.asarray(step, dtype=np.uint64)
-    salt = mix64_array(np.uint64(2) * steps.reshape(-1, 1) + np.uint64(channel))
-    u = (mix64_array(keys ^ salt) >> np.uint64(11)) * 2.0**-53
+    salt = _mix64_inplace(np.uint64(2) * steps.reshape(-1, 1) + np.uint64(channel))
+    z = _mix64_inplace(keys ^ salt)
+    z >>= np.uint64(11)
+    u = z.astype(np.float64)  # exact below 2^53, and without the ufunc's casting buffer
+    u *= 2.0**-53
     return u if steps.ndim else u[0]
 
 
 def mix64_array(z: np.ndarray) -> np.ndarray:
-    """Vectorised :func:`mix64` for uint64 arrays."""
-    z = z ^ (z >> np.uint64(30))
-    z = z * np.uint64(_MUL1)
-    z = z ^ (z >> np.uint64(27))
-    z = z * np.uint64(_MUL2)
-    z = z ^ (z >> np.uint64(31))
+    """Vectorised :func:`mix64` for uint64 arrays, on one copy of ``z``:
+    ``z`` itself is never written."""
+    return _mix64_inplace(np.array(z, dtype=np.uint64))
+
+
+def _mix64_inplace(z: np.ndarray) -> np.ndarray:
+    """:func:`mix64` of every entry of the uint64 array ``z``, written over
+    it; holds one shift temporary besides ``z``."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MUL1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MUL2)
+    z ^= z >> np.uint64(31)
     return z

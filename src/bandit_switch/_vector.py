@@ -34,7 +34,7 @@ if TYPE_CHECKING:
 _EMPIRICAL_EXPONENT = 8.0 / 9.0
 # Uniforms hashed per channel in one pass of :func:`simulate` (256 KiB of
 # float64): the block of steps is this many over the batch size, at most
-# _BLOCK_STEPS, since hashing holds about five temporaries of its size.
+# _BLOCK_STEPS, since hashing holds about two temporaries of its size.
 _BLOCK_ELEMS = 1 << 15
 _BLOCK_STEPS = 1 << 10
 

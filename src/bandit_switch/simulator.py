@@ -42,12 +42,22 @@ __all__ = [
 ]
 
 
+def _sorted_unique(x) -> np.ndarray:
+    """The distinct values of ``x`` in increasing order, as ``np.unique``
+    gives them, without the ``numpy.ma`` import (about 20 ms) that
+    ``np.unique`` pulls in."""
+    x = np.sort(x, axis=None)
+    keep = np.ones(x.size, dtype=bool)
+    keep[1:] = x[1:] > x[:-1]
+    return x[keep]
+
+
 def default_record_grid(k: int, horizon: int, points: int = 50) -> tuple:
     """Geometric grid of recording steps from K to T, always including T."""
     if horizon < k:
         raise ConfigurationError("horizon must be at least the number of arms")
     lo = max(k, 1)
-    grid = np.unique(np.rint(np.geomspace(lo, horizon, points)).astype(np.int64))
+    grid = _sorted_unique(np.rint(np.geomspace(lo, horizon, points)).astype(np.int64))
     grid = grid[(grid >= 1) & (grid <= horizon)]
     if grid.size == 0 or grid[-1] != horizon:
         grid = np.append(grid, horizon)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rng import CH_REWARD, mix64, unit_uniform
+from ._rng import CH_REWARD, mix64_array, unit_uniform_array
 from .distributions import (
     BanditInstance,
     Bernoulli,
@@ -26,8 +26,8 @@ from .distributions import (
     EmpiricalDistribution,
 )
 from .kinf import bernoulli_kl, kinf, kinf_weighted, klucb_index
-from .policies import PolicySpec, PolicyState, indices, update
-from .simulator import Scenario, gap_profile, monte_carlo, positive_int, run_seed
+from .policies import PolicySpec
+from .simulator import Scenario, _sorted_unique, gap_profile, monte_carlo, positive_int, run_seed
 from . import _vector
 
 __all__ = [
@@ -179,7 +179,7 @@ def refined_pull_rate(k: int, horizon: int, mu_star: float, divergence: float) -
 
 def _random_empirical(rng: np.random.Generator, max_atoms: int = 20) -> EmpiricalDistribution:
     n_atoms = int(rng.integers(1, max_atoms + 1))
-    vals = np.unique(rng.random(n_atoms))
+    vals = _sorted_unique(rng.random(n_atoms))
     counts = rng.integers(1, 11, size=vals.size)
     return EmpiricalDistribution(vals, counts)
 
@@ -395,13 +395,19 @@ def _finite_support(arm):
     return None
 
 
+def _binary_empirical(n: int, c: int) -> EmpiricalDistribution:
+    """The empirical distribution of c ones out of n >= 1 observations in
+    {0, 1}: one atom when c is 0 or n, else two."""
+    if c == 0:
+        return EmpiricalDistribution([0.0], [n])
+    if c == n:
+        return EmpiricalDistribution([1.0], [n])
+    return EmpiricalDistribution([0.0, 1.0], [n - c, c])
+
+
 def _binary_empiricals(n: int) -> list:
     """The empirical distribution of c ones out of n, for every count c."""
-    return (
-        [EmpiricalDistribution([0.0], [n])]
-        + [EmpiricalDistribution([0.0, 1.0], [n - c, c]) for c in range(1, n)]
-        + [EmpiricalDistribution([1.0], [n])]
-    )
+    return [_binary_empirical(n, c) for c in range(n + 1)]
 
 
 def _binary_kinf_table(n: int, mu: float) -> np.ndarray:
@@ -568,6 +574,32 @@ def hoeffding_integrated_check(arm, n_start: int, eps_grid, runs: int, seed: int
 # index ordering
 
 
+def _checkpoint_states(bandit: BanditInstance, seeds, actions: np.ndarray, steps):
+    """(step, n, s, dists) after each of the increasing ``steps``: the pull
+    counts and reward sums, shape (runs, K), and the empirical distribution
+    of every cell in the flat ``run * K + arm`` order, of the runs with
+    these ``seeds`` that took the logged ``actions`` (runs, T).
+
+    One array pass rebuilds them: each run's rewards are hashed as the
+    simulation hashes them, drawn by the arms' own quantiles, and summed by
+    cumulative sums over the action log.  Every arm must be supported on
+    {0, 1}, so the sums are exact and a cell's law is its count of ones."""
+    if not all(arm.support_binary for arm in bandit.arms):
+        raise ValueError("checkpoint states are rebuilt for arms supported on {0, 1} only")
+    keys = mix64_array(np.asarray(seeds, dtype=np.uint64))
+    u = unit_uniform_array(keys, np.arange(1, actions.shape[1] + 1), CH_REWARD).T
+    steps = np.asarray(steps)
+    n = np.empty((steps.size, len(seeds), bandit.k))
+    s = np.empty_like(n)
+    for a, arm in enumerate(bandit.arms):
+        pulled = actions == a
+        n[:, :, a] = np.cumsum(pulled, axis=1)[:, steps - 1].T
+        s[:, :, a] = np.cumsum(np.where(pulled, arm.quantile(u), 0.0), axis=1)[:, steps - 1].T
+    for step, n_t, s_t in zip(steps.tolist(), n, s):
+        dists = [_binary_empirical(int(m), int(c)) for m, c in zip(n_t.ravel().tolist(), s_t.ravel().tolist())]
+        yield step, n_t, s_t, dists
+
+
 def index_ordering_check(
     runs: int = 100,
     checkpoints_per_run: int = 10,
@@ -579,40 +611,35 @@ def index_ordering_check(
     likelihood index never exceeds the switch index, which never exceeds
     the minimax index, for the known-horizon trio and the anytime trio.
 
-    States are produced by anytime-switch runs (simulated vectorised,
-    replayed here), sampled at log-spaced steps.
+    States are produced by anytime-switch runs, simulated vectorised and
+    sampled at log-spaced steps; their checkpoint states are rebuilt from
+    the action log by ``_checkpoint_states``, and each index is evaluated
+    on all runs at once.
     """
     bandit = BanditInstance((Bernoulli(0.8), Bernoulli(0.6), Bernoulli(0.4)))
     k = bandit.k
     driver = PolicySpec("klucb-switch-anytime", switch_exponent=8.0 / 9.0)
-    kl_t = PolicySpec("klucb", horizon=horizon)
-    moss_t = PolicySpec("moss", horizon=horizon)
-    sw_t = PolicySpec("klucb-switch", horizon=horizon)
-    kl_a = PolicySpec("klucb-anytime")
-    moss_a = PolicySpec("moss-anytime")
-    sw_a = PolicySpec("klucb-switch-anytime")
+    known = tuple(
+        _vector._Ctx(PolicySpec(family, horizon=horizon)) for family in ("klucb", "klucb-switch", "moss")
+    )
+    anytime = tuple(
+        _vector._Ctx(PolicySpec(family)) for family in ("klucb-anytime", "klucb-switch-anytime", "moss-anytime")
+    )
 
     seeds = [run_seed(seed, 0, r) for r in range(runs)]
     _, actions = _vector.simulate(bandit, driver, horizon, seeds, (horizon,), record_actions=True)
-    sample_steps = np.unique(np.geomspace(k + 1, horizon, checkpoints_per_run).astype(int))
+    sample_steps = _sorted_unique(np.geomspace(k + 1, horizon, checkpoints_per_run).astype(int))
+
+    def worst_gap(trio, n, s, step, dists) -> float:
+        u_kl, u_sw, u_m = (_vector._indices(ctx, n, s, step, dists) for ctx in trio)
+        return max(float(np.max(u_kl - u_sw)), float(np.max(u_sw - u_m)))
 
     worst_known = -math.inf
     worst_anytime = -math.inf
-    checked = 0
-    for r in range(runs):
-        key = mix64(seeds[r])
-        state = PolicyState.fresh(k)
-        targets = set(int(s) for s in sample_steps)
-        for step in range(1, horizon + 1):
-            a = int(actions[r, step - 1])
-            reward = float(bandit.arms[a].quantile(unit_uniform(key, step, CH_REWARD)))
-            update(state, a, reward)
-            if step in targets:
-                u_kl, u_sw, u_m = (indices(spec, state) for spec in (kl_t, sw_t, moss_t))
-                worst_known = max(worst_known, float(np.max(u_kl - u_sw)), float(np.max(u_sw - u_m)))
-                u_kl, u_sw, u_m = (indices(spec, state) for spec in (kl_a, sw_a, moss_a))
-                worst_anytime = max(worst_anytime, float(np.max(u_kl - u_sw)), float(np.max(u_sw - u_m)))
-                checked += 1
+    for step, n, s, dists in _checkpoint_states(bandit, seeds, actions, sample_steps):
+        worst_known = max(worst_known, worst_gap(known, n, s, step, dists))
+        worst_anytime = max(worst_anytime, worst_gap(anytime, n, s, step, dists))
+    checked = runs * sample_steps.size
     points = [
         _point("known-horizon: max(U_kl - U_switch, U_switch - U_moss)", worst_known, tol),
         _point("anytime: max(U_kl_a - U_switch_a, U_switch_a - U_moss_a)", worst_anytime, tol),

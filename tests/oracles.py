@@ -2,12 +2,13 @@
 its simulation loop are tested against.  They are independent
 implementations, not used by the library itself."""
 
+import copy
 import math
 
 import mpmath
 import numpy as np
 
-from bandit_switch import PolicyState, select_arm, update
+from bandit_switch import PolicyState, indices, select_arm, update
 from bandit_switch._rng import CH_REWARD, CH_TIE, mix64, unit_uniform
 from bandit_switch.kinf import kinf
 from bandit_switch.verification import _ORACLE_BLOCK_BYTES
@@ -140,3 +141,28 @@ def scalar_episode(bandit, spec, horizon: int, seed: int, bins=None):
         trajectory[step - 1] = regret
         actions[step - 1] = a
     return trajectory, state.counts[0].astype(np.int64), actions
+
+
+def replay_checkpoints(bandit, seeds, actions, steps, specs):
+    """The per-step reference for the index-ordering check's checkpoint
+    states: each logged run of ``actions`` (runs, T) stepped through the
+    one-run API, its rewards hashed one at a time by the scalar
+    ``unit_uniform`` and pushed into the empirical distributions one by
+    one.  Yields (run, step, counts, sums, dists, index vectors of
+    ``specs``) at each of ``steps``."""
+    targets = set(int(t) for t in steps)
+    for r, seed in enumerate(seeds):
+        key = mix64(seed)
+        state = PolicyState.fresh(bandit.k)
+        for step in range(1, actions.shape[1] + 1):
+            a = int(actions[r, step - 1])
+            update(state, a, float(bandit.arms[a].quantile(unit_uniform(key, step, CH_REWARD))))
+            if step in targets:
+                yield (
+                    r,
+                    step,
+                    state.counts[0].copy(),
+                    state.sums[0].copy(),
+                    copy.deepcopy(state.dists),
+                    [indices(spec, state) for spec in specs],
+                )

@@ -1,6 +1,6 @@
 """Source hygiene of the package: no module imports a name it never uses,
 every private module-level name is referenced somewhere in it, and
-importing it leaves scipy unloaded."""
+neither importing it nor its Bernoulli paths load scipy or numpy.ma."""
 
 import ast
 import os
@@ -66,9 +66,21 @@ def test_every_private_module_level_name_is_referenced():
     assert not unreferenced, f"private names that nothing references: {sorted(unreferenced)}"
 
 
-def test_importing_the_package_and_its_command_line_leaves_scipy_unloaded():
-    # only a truncated-Gaussian draw needs scipy, which takes about 0.3 s to import
+# Imports the package, builds the fig1-left scenario and runs ``verify
+# ordering --runs 2``, then prints which of the slow imports are loaded.
+_SLOW_IMPORTS_CODE = """
+import sys, tempfile
+import bandit_switch, bandit_switch.cli as cli
+cli._scenario_from_config(cli._expand_run_config({"preset": "fig1-left"}))
+with tempfile.TemporaryDirectory() as out_dir:
+    assert cli.main(["verify", "ordering", "--runs", "2", "--out-dir", out_dir]) == 0
+print(sorted(m for m in ("scipy", "numpy.ma") if m in sys.modules))
+"""
+
+
+def test_import_fig1_left_build_and_verify_ordering_leave_scipy_and_numpy_ma_unloaded():
+    # only a truncated-Gaussian draw needs scipy, which takes about 0.3 s to
+    # import; np.unique imports numpy.ma, about 20 ms
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH")))))
-    code = "import sys, bandit_switch, bandit_switch.cli; print('scipy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", _SLOW_IMPORTS_CODE], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "[]"

@@ -2,6 +2,7 @@
 scalar/vector engine agreement."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from bandit_switch import (
     run_seed,
 )
 from bandit_switch import _vector
-from bandit_switch._rng import CH_REWARD, CH_TIE, unit_uniform, unit_uniform_array
+from bandit_switch._rng import CH_REWARD, CH_TIE, mix64, mix64_array, unit_uniform, unit_uniform_array
 from oracles import scalar_episode
 
 BERN3 = BanditInstance((Bernoulli(0.8), Bernoulli(0.5), Bernoulli(0.3)))
@@ -322,6 +323,31 @@ def test_uniform_rows_equal_the_per_step_and_scalar_hash(channel):
         one_step = unit_uniform_array(keys, step, channel)
         scalar = np.array([unit_uniform(key, step, channel) for key in keys.tolist()])
         assert row.tobytes() == one_step.tobytes() == scalar.tobytes()
+
+
+def test_mix64_array_equals_the_scalar_hash_and_leaves_its_input_alone():
+    rng = np.random.default_rng(64)
+    keys = np.concatenate([np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64), rng.integers(0, 2**64, 200, dtype=np.uint64)])
+    before = keys.copy()
+    mixed = mix64_array(keys)
+    assert mixed.dtype == np.uint64
+    assert mixed.tolist() == [mix64(key) for key in keys.tolist()]
+    assert keys.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("hash_block", [mix64_array, lambda keys: unit_uniform_array(keys, 7, CH_REWARD)])
+def test_hashing_a_block_holds_about_two_outputs(hash_block):
+    # one array plus one shift temporary is 2x the output; a chain of
+    # out-of-place steps holds 3x
+    keys = np.random.default_rng(65).integers(0, 2**64, 10_000, dtype=np.uint64)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        out = hash_block(keys)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * out.nbytes
 
 
 BERN_TIED = BanditInstance((Bernoulli(0.5), Bernoulli(0.5), Bernoulli(0.4)))

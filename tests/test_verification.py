@@ -7,11 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from bandit_switch import Bernoulli, ConfigurationError, EmpiricalDistribution, TruncatedGaussian
+from bandit_switch import BanditInstance, Bernoulli, ConfigurationError, EmpiricalDistribution, PolicySpec, TruncatedGaussian
+from bandit_switch import _vector
 from bandit_switch.kinf import bernoulli_kl, kinf_weighted
+from bandit_switch.simulator import run_seed
 from bandit_switch.verification import (
     BOUND_IDS,
+    _binary_empirical,
     _block_bounds,
+    _checkpoint_states,
     _grid_max,
     _interval_bounds,
     _oracle_jobs,
@@ -30,7 +34,7 @@ from bandit_switch.verification import (
     run_suite,
     theoretical_bounds,
 )
-from oracles import grid_max
+from oracles import grid_max, replay_checkpoints
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +176,75 @@ def test_index_ordering_small():
     report = index_ordering_check(runs=10, checkpoints_per_run=5, horizon=200)
     assert report.ok
     assert report.values["checkpoints"] == 50
+
+
+def ordering_specs(horizon: int) -> list:
+    """The six indices the ordering check compares: the known-horizon trio
+    and the anytime trio."""
+    known = [PolicySpec(family, horizon=horizon) for family in ("klucb", "klucb-switch", "moss")]
+    return known + [PolicySpec(family) for family in ("klucb-anytime", "klucb-switch-anytime", "moss-anytime")]
+
+
+def assert_checkpoints_equal_the_replay(bandit, seeds, actions, steps) -> int:
+    """Every rebuilt (n, s, dists) and every index vector of the six
+    specs, evaluated on the whole batch, equals the per-step replay's bit
+    for bit; returns the number of one-atom laws of n >= 2 observations."""
+    k = bandit.k
+    specs = ordering_specs(actions.shape[1])
+    rebuilt = {
+        step: (n, s, dists, [_vector._indices(_vector._Ctx(spec), n, s, step, dists) for spec in specs])
+        for step, n, s, dists in _checkpoint_states(bandit, seeds, actions, steps)
+    }
+    assert sorted(rebuilt) == sorted(int(step) for step in steps)
+    seen = one_atom = 0
+    for r, step, counts, sums, dists, vectors in replay_checkpoints(bandit, seeds, actions, steps, specs):
+        n, s, rebuilt_dists, rebuilt_vectors = rebuilt[step]
+        assert n[r].tobytes() == counts.tobytes()
+        assert s[r].tobytes() == sums.tobytes()
+        for a, want in enumerate(dists):
+            got = rebuilt_dists[r * k + a]
+            assert got == want and got.mean == want.mean and got.weights.tobytes() == want.weights.tobytes()
+            one_atom += len(got) == 1 and got.total_count >= 2
+        for spec, got, want in zip(specs, rebuilt_vectors, vectors):
+            assert got[r].tobytes() == want.tobytes(), (spec.family, r, step)
+        seen += 1
+    assert seen == len(seeds) * len(steps)
+    return one_atom
+
+
+@pytest.mark.parametrize("base_seed", [20_240_103, 1, 977])
+def test_checkpoint_states_of_the_ordering_runs_equal_the_replay(base_seed):
+    bandit = BanditInstance((Bernoulli(0.8), Bernoulli(0.6), Bernoulli(0.4)))
+    driver = PolicySpec("klucb-switch-anytime", switch_exponent=8.0 / 9.0)
+    seeds = [run_seed(base_seed, 0, r) for r in range(6)]
+    _, actions = _vector.simulate(bandit, driver, 600, seeds, (600,), record_actions=True)
+    steps = np.array([4, 6, 10, 17, 30, 51, 87, 150, 257, 440, 600])
+    assert_checkpoints_equal_the_replay(bandit, seeds, actions, steps)
+
+
+def test_checkpoint_states_equal_the_replay_on_one_atom_laws():
+    # arms near 0 and 1 under random actions: many cells hold s = 0 or s = n
+    bandit = BanditInstance((Bernoulli(0.97), Bernoulli(0.5), Bernoulli(0.03), Bernoulli(1.0)))
+    rng = np.random.default_rng(5)
+    actions = rng.integers(0, bandit.k, size=(5, 300)).astype(np.int32)
+    actions[:, : bandit.k] = np.arange(bandit.k)
+    seeds = [run_seed(7, 0, r) for r in range(5)]
+    assert assert_checkpoints_equal_the_replay(bandit, seeds, actions, np.array([5, 12, 40, 300])) >= 20
+
+
+def test_checkpoint_states_need_binary_arms():
+    bandit = BanditInstance((Bernoulli(0.5), TruncatedGaussian(0.5, 0.1)))
+    actions = np.zeros((1, 4), dtype=np.int32)
+    with pytest.raises(ValueError, match="supported on"):
+        next(_checkpoint_states(bandit, [1], actions, [4]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_binary_empirical_is_the_law_of_pushed_ones(n):
+    for c in range(n + 1):
+        pushed = EmpiricalDistribution.from_observations([1.0] * c + [0.0] * (n - c))
+        law = _binary_empirical(n, c)
+        assert law == pushed and law.mean == pushed.mean
 
 
 # ---------------------------------------------------------------------------
