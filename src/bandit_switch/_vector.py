@@ -3,10 +3,13 @@
 :func:`_indices` is the only place an index is computed, and
 :func:`simulate` the only per-step loop.  Both work on state arrays of
 shape (runs, arms): a batch of independent runs, or one run (also
-:func:`.policies.select_arm`'s state).  Rewards and tie-breaks come from
-the counter-based hash in :mod:`._rng`, and the Bernoulli and exponential
-KL are inverted by one Newton iteration, :func:`_newton_down`, stopped
-element by element; so each run's trajectory is the same in any batch.
+:func:`.policies.select_arm`'s state).  :func:`simulate` stacks the runs
+of several policies as row blocks of one such state, stored arm-major so
+that reductions over the arms run along the long axis.  Rewards and
+tie-breaks come from the counter-based hash in :mod:`._rng`, and the
+Bernoulli and exponential KL are inverted by one Newton iteration,
+:func:`_newton_down`, stopped element by element; so each run's
+trajectory is the same in any batch, next to any other policy's runs.
 
 The empirical-likelihood families (klucb*, imed) take one of two branches,
 chosen by the input.  Given each (run, arm) cell's empirical distribution
@@ -206,29 +209,59 @@ def _draw(ctx: _Ctx, action: np.ndarray, u: np.ndarray) -> np.ndarray:
 def _tie_break(scores: np.ndarray, u, minimize: bool) -> np.ndarray:
     """Per run, the arm of best score; among m tied arms, the i-th in arm
     order for u in [i/m, (i+1)/m).  Scores are finite, so every run has at
-    least one best arm, and when no run has two the first best is the
-    answer and the rank scan is skipped."""
+    least one best arm, and a run with one takes the first best; the rank
+    scan runs only on the runs with two or more."""
     best = scores.min(axis=1, keepdims=True) if minimize else scores.max(axis=1, keepdims=True)
     tied = scores == best
-    if np.count_nonzero(tied) == len(scores):
-        return tied.argmax(axis=1)
-    rank = tied.cumsum(axis=1)  # last column: number tied
-    pick = (u * rank[:, -1]).astype(np.int64)
-    return (rank > pick[:, None]).argmax(axis=1)
+    action = tied.argmax(axis=1)
+    if np.count_nonzero(tied) > len(scores):
+        multi = np.flatnonzero(np.count_nonzero(tied, axis=1) > 1)
+        rank = tied[multi].cumsum(axis=1, dtype=np.int32)  # last column: number tied
+        pick = (np.broadcast_to(u, action.shape)[multi] * rank[:, -1]).astype(np.int64)
+        action[multi] = (rank > pick[:, None]).argmax(axis=1)
+    return action
 
 
-def _kl_upper(p: np.ndarray, d: np.ndarray, dists, mask=None) -> np.ndarray:
-    """sup { mu : divergence <= d } entrywise, for the (run, arm) cells
-    selected by ``mask`` (all when None): ``klucb_index`` on each cell's
-    empirical distribution when ``dists`` are given, else the Bernoulli KL
-    on the mean ``p``."""
-    if dists is None:
-        return bern_klucb(p, d)
-    cells = range(len(dists)) if mask is None else np.flatnonzero(mask)
-    return np.array([klucb_index(dists[c], x) for c, x in zip(cells, d.ravel().tolist())]).reshape(p.shape)
+def _kl_upper(p: np.ndarray, d: np.ndarray, dists, pending, out=None, cells=None) -> np.ndarray:
+    """sup { mu : divergence <= d } entrywise: ``klucb_index`` on each
+    cell's empirical distribution when ``dists`` are given, else the
+    Bernoulli KL on the mean ``p``.  The result is returned as a new array,
+    or, given ``out``, put at its flat ``cells`` (``out`` is returned).
+    With a list ``pending`` the Bernoulli inversion is not done here: the
+    destination is queued on it as ``(out, cells, p, d)``, for
+    :func:`_invert_pending` to fill."""
+    if dists is not None:
+        at = range(len(dists)) if cells is None else cells.tolist()
+        r = np.array([klucb_index(dists[c], x) for c, x in zip(at, d.ravel().tolist())]).reshape(p.shape)
+    elif pending is None:
+        r = bern_klucb(p, d)
+    else:
+        out = np.empty_like(p) if out is None else out
+        pending.append((out, cells, p, d))
+        return out
+    if out is None:
+        return r
+    out.put(cells, r)
+    return out
 
 
-def _indices(ctx: _Ctx, n: np.ndarray, s: np.ndarray, t: int, dists=None) -> np.ndarray:
+def _invert_pending(pending: list) -> None:
+    """Every deferred Bernoulli-KL inversion of :func:`_kl_upper` in one
+    :func:`bern_klucb` call, each result written to its destination."""
+    if len(pending) == 1:
+        r = bern_klucb(pending[0][2].ravel(), pending[0][3].ravel())
+    else:
+        r = bern_klucb(np.concatenate([e[2].ravel() for e in pending]), np.concatenate([e[3].ravel() for e in pending]))
+    lo = 0
+    for out, cells, p, _ in pending:
+        if cells is None:
+            out[...] = r[lo : lo + p.size].reshape(p.shape)
+        else:
+            out.put(cells, r[lo : lo + p.size])
+        lo += p.size
+
+
+def _indices(ctx: _Ctx, n: np.ndarray, s: np.ndarray, t: int, dists=None, pending=None) -> np.ndarray:
     """Index of every (run, arm) at time ``t`` from pull counts ``n`` (all
     >= 1) and reward sums ``s``, both of shape (runs, arms).  For imed the
     index is a score to *minimise*; every other family maximises.
@@ -236,7 +269,9 @@ def _indices(ctx: _Ctx, n: np.ndarray, s: np.ndarray, t: int, dists=None) -> np.
     ``dists``, the empirical distribution of every cell in the flat
     ``run * arms + arm`` order, selects the ``kinf`` branch of the
     empirical-likelihood families; without it they take the Bernoulli
-    branch, exact for arms supported on {0, 1}.
+    branch, exact for arms supported on {0, 1}.  With a list ``pending``,
+    the Bernoulli-KL cells are left unfilled and queued on it (see
+    :func:`_kl_upper`).
     """
     spec = ctx.spec
     fam = spec.family
@@ -259,14 +294,18 @@ def _indices(ctx: _Ctx, n: np.ndarray, s: np.ndarray, t: int, dists=None) -> np.
     if fam in ("klucb", "klucb-anytime"):
         ref = spec.horizon if fam == "klucb" else t
         d = _explo(spec.exploration, ref / (k * n)) / n
-        return _kl_upper(mean, d, dists)
+        return _kl_upper(mean, d, dists, pending)
     if fam in ("klucb-switch", "klucb-switch-anytime"):
         ref = spec.horizon if fam == "klucb-switch" else t
         e = _explo(spec.exploration, ref / k / n)  # the budget both branches read
         out = mean + np.sqrt(e / (2.0 * n))
         kl_branch = n <= switch_value(ref, k, spec.switch_exponent)
         if kl_branch.any():
-            out[kl_branch] = _kl_upper(mean[kl_branch], (e / n)[kl_branch], dists, kl_branch)
+            # Bernoulli cells are taken in the arm-major state's memory order,
+            # kinf cells in the run-major order its distributions are listed in.
+            lay = np.transpose if dists is None else np.asarray
+            cells = np.flatnonzero(lay(kl_branch))
+            _kl_upper(lay(mean).take(cells), lay(e / n).take(cells), dists, pending, lay(out), cells)
         return out
     if fam == "imed":
         pmax = np.clip(mean.max(axis=1), 1e-9, 1.0 - 1e-9)[:, None]
@@ -282,7 +321,7 @@ def _indices(ctx: _Ctx, n: np.ndarray, s: np.ndarray, t: int, dists=None) -> np.
 
 def simulate(
     bandit: BanditInstance,
-    spec: PolicySpec,
+    specs,
     horizon: int,
     seeds,
     record_grid,
@@ -296,22 +335,42 @@ def simulate(
     ``empirical``, each (run, arm) cell keeps its empirical distribution
     (atoms rounded to ``bins`` when set) for the ``kinf`` branch.
 
+    ``specs`` is one policy or a sequence of them; the seeds are then cut
+    into one block of equal length per policy, in order, and each block is
+    run by its policy.  Every block writes its rows of one score buffer
+    (imed's negated, so that one tie-break maximises every row); the
+    Bernoulli-KL cells of all blocks go through one :func:`bern_klucb` call
+    per step, and the draw, state update and regret run once.
+
     The uniforms of both channels are hashed for a block of steps at a
     time, about ``_BLOCK_ELEMS`` per channel; they do not depend on the
     block length, so neither does any output bit.
     """
+    specs = tuple(specs) if isinstance(specs, (tuple, list)) else (specs,)
     k = bandit.k
     runs = len(seeds)
+    width, extra = divmod(runs, len(specs))
+    if extra:
+        raise ValueError(f"{runs} seeds do not split into {len(specs)} equal blocks")
     keys = mix64_array(np.asarray(seeds, dtype=np.uint64))
-    ctx = _make_ctx(bandit, spec)
+    ctxs = [_make_ctx(bandit, spec) for spec in specs]
     gaps = bandit.gaps
-    minimize = spec.family == "imed"
 
-    n = np.zeros((runs, k))
-    s = np.zeros((runs, k))
-    n_cells, s_cells = n.reshape(-1), s.reshape(-1)  # views: cell (run, arm) is run*k + arm
+    # Arm-major state: (runs, K) views of (K, runs) arrays, whose flat cell
+    # (run, arm) is arm * runs + run.  The score buffer is allocated once,
+    # and ``parts`` stays bound until the next step's are built: freeing
+    # every (runs, K) temporary at once lets malloc trim the heap, which
+    # large batches then page-fault back in at every step.
+    n_cells, s_cells = np.zeros(k * runs), np.zeros(k * runs)
+    n, s = n_cells.reshape(k, runs).T, s_cells.reshape(k, runs).T
+    scores = np.empty((runs, k), order="F")
     dists = [EmpiricalDistribution(bins=bins) for _ in range(runs * k)] if empirical else None
-    row_base = np.arange(runs) * k
+    blocks = []  # per policy: its context, and its rows of n, s, dists and scores
+    for i, ctx in enumerate(ctxs):
+        rows = slice(i * width, (i + 1) * width)
+        cells = None if dists is None else dists[i * width * k : (i + 1) * width * k]
+        blocks.append((ctx, n[rows], s[rows], cells, scores[rows]))
+    run_ids = np.arange(runs)
     regret = np.zeros(runs)
     gpos = np.full(horizon + 1, -1, dtype=np.int64)
     for g, step in enumerate(record_grid):
@@ -328,17 +387,22 @@ def simulate(
             if step <= k:  # each arm once, in order
                 action = np.full(runs, step - 1)
             else:
-                # ``scores`` stays referenced until the next step's is built:
-                # freeing every (runs, K) temporary at once lets malloc trim
-                # the heap, and large batches then page-fault it back each step.
-                scores = _indices(ctx, n, s, step - 1, dists)
-                action = _tie_break(scores, u_tie, minimize)
-            r = _draw(ctx, action, u)
-            cell = row_base + action
+                pending = [] if len(blocks) > 1 else None  # a lone block inverts in place
+                parts = [_indices(ctx, nb, sb, step - 1, cells, pending) for ctx, nb, sb, cells, _ in blocks]
+                if pending:
+                    _invert_pending(pending)
+                for (ctx, _, _, _, block_scores), part in zip(blocks, parts):
+                    if ctx.spec.family == "imed":
+                        np.negative(part, out=block_scores)
+                    else:
+                        block_scores[...] = part
+                action = _tie_break(scores, u_tie, False)
+            r = _draw(ctxs[0], action, u)
+            cell = action * runs + run_ids
             s_cells[cell] += r
             n_cells[cell] += 1.0
             if dists is not None:
-                for c, x in zip(cell.tolist(), r.tolist()):
+                for c, x in zip((run_ids * k + action).tolist(), r.tolist()):
                     dists[c]._push(x)
             regret += gaps[action]
             if actions is not None:

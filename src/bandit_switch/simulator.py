@@ -6,8 +6,9 @@ distributions, so the empirical-likelihood families use ``kinf`` on any
 support; the vectorised engine runs it on a batch without them, where
 that is exact.  ``monte_carlo`` fans a scenario out over per-run seeds
 derived from ``(base_seed, policy ordinal, run ordinal)`` and aggregates
-pseudo-regret at the recorded steps.  Every (policy, chunk) job of one
-call goes through a single worker pool.
+pseudo-regret at the recorded steps.  A scenario's vector-engine policies
+run in lock step as one batch, cut into chunks of runs; every chunk job of
+one call, batch or scalar, goes through a single worker pool.
 
 Regret is pseudo-regret, the gap-weighted count of sub-optimal pulls
 ``sum_a gap_a * N_a(t)``; its expectation is the usual expected regret and
@@ -174,10 +175,10 @@ def run_episode(
 
 def _chunk_worker(args):
     # Scalar-engine runs go one at a time: their distributions grow by an atom per pull.
-    bandit, spec, horizon, grid, seeds, engine, bins = args
+    bandit, specs, horizon, grid, seeds, engine, bins = args
     if engine == "vector":
-        return _vector.simulate(bandit, spec, horizon, seeds, grid)
-    return np.vstack([_vector.simulate(bandit, spec, horizon, [sd], grid, empirical=True, bins=bins) for sd in seeds])
+        return _vector.simulate(bandit, specs, horizon, seeds, grid)
+    return np.vstack([_vector.simulate(bandit, specs, horizon, [sd], grid, empirical=True, bins=bins) for sd in seeds])
 
 
 def _policy_engine(scenario: Scenario, spec: PolicySpec, *_) -> str:
@@ -191,27 +192,28 @@ def _policy_engine(scenario: Scenario, spec: PolicySpec, *_) -> str:
     return "vector" if _vector.supports(scenario.bandit, spec) else "scalar"
 
 
-# Narrowest vector chunk given a worker of its own, in (run, arm) cells.
-# A step of `_vector.simulate` costs about a + b * cells; four fits of
-# per-step CPU time on fig1-left's arms (horizon 600 or 3000, widths 100
-# to 1600, min over 4-12 repetitions) put the break-even width a / b at
-# 700-970 cells for the klucb families (a 90-110 us, b 0.11-0.14 us) and
-# at most 440 for imed, ucb and moss.  This is the largest, rounded up to
-# a power of two; fits on a loaded machine scatter up to about 1,100.
+# Narrowest vector chunk given a worker of its own, in (policy, run, arm)
+# cells of the batch.  A step of `_vector.simulate` costs about a + b * cells;
+# four fits of per-step CPU time on fig1-left's arms (horizon 600 or 3000,
+# widths 100 to 1600, min over 4-12 repetitions) put the break-even width
+# a / b at 700-970 cells for the klucb families (a 90-110 us, b 0.11-0.14
+# us) and at most 440 for imed, ucb and moss.  This is the largest, rounded
+# up to a power of two; fits on a loaded machine scatter up to about 1,100.
 _MIN_CHUNK_CELLS = 1024
 
 
-def _chunk_count(runs: int, k: int, parallelism: int, engine: str) -> int:
-    """Run chunks for one policy over ``k`` arms.  A vector batch pays a
-    fixed numpy call overhead per step whatever its width, so it is cut
-    into at most one chunk per worker, and only into as many as keep each
-    chunk at least ``_MIN_CHUNK_CELLS`` cells wide; a narrower batch runs
-    whole.  Scalar runs cost the same per run in any chunk, so they get a
-    finer split, 4 per worker (at most one per run), to balance load."""
+def _chunk_count(runs: int, width: int, parallelism: int, engine: str) -> int:
+    """Run chunks for ``runs`` runs of ``width`` cells each (for the vector
+    batch, its policies times the arms).  A vector batch pays a fixed numpy
+    call overhead per step whatever its width, so it is cut into at most
+    one chunk per worker, and only into as many as keep each chunk at least
+    ``_MIN_CHUNK_CELLS`` cells wide; a narrower batch runs whole.  Scalar
+    runs cost the same per run in any chunk, so they get a finer split, 4
+    per worker (at most one per run), to balance load."""
     if parallelism == 1:
         return 1
     if engine == "vector":
-        return max(1, min(parallelism, runs * k // _MIN_CHUNK_CELLS))
+        return max(1, min(parallelism, runs * width // _MIN_CHUNK_CELLS))
     return min(4 * parallelism, runs)
 
 
@@ -220,28 +222,35 @@ def monte_carlo(scenario: Scenario, parallelism: int = 1) -> RegretCurve:
 
     Per-run seeds are pre-assigned from (base_seed, policy, run), so the
     result does not depend on ``parallelism`` or on completion order.
-    Each policy's runs are cut into chunks by :func:`_chunk_count`, so a
-    narrow vector batch runs whole; all (policy, chunk) jobs share one
-    pool of at most ``parallelism`` workers, which takes them in roster
-    order, and each policy's rows are stacked in run order.
+    The vector-engine policies run as one batch, each chunk of it holding
+    every one of them on the same range of runs; each scalar-engine
+    policy's runs are cut on their own.  :func:`_chunk_count` sets both
+    cuts, so a narrow batch runs whole.  All jobs share one pool of at most
+    ``parallelism`` workers, batch chunks first, and each policy's rows
+    are stacked in run order.
     """
     parallelism = positive_int(parallelism, "parallelism")
     grid = scenario.record_grid
     names = scenario.policy_names
-    runs = scenario.runs
-    engines, chunks, jobs = [], [], []
-    for p_idx, spec in enumerate(scenario.policies):
-        eng = _policy_engine(scenario, spec)
-        seeds = [run_seed(scenario.base_seed, p_idx, r) for r in range(runs)]
-        bounds = np.linspace(0, runs, _chunk_count(runs, scenario.bandit.k, parallelism, eng) + 1).astype(int)
-        own = [
-            (scenario.bandit, spec, scenario.horizon, grid, seeds[lo:hi], eng, scenario.bins)
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
-        engines.append(eng)
-        chunks.append(len(own))
-        jobs.extend(own)
+    runs, k = scenario.runs, scenario.bandit.k
+    specs = scenario.policies
+    engines = tuple(_policy_engine(scenario, spec) for spec in specs)
+    vector = [p for p, eng in enumerate(engines) if eng == "vector"]
+    groups = [(vector, "vector")] if vector else []
+    groups += [([p], eng) for p, eng in enumerate(engines) if eng == "scalar"]
+
+    chunks = [0] * len(specs)
+    jobs, owners = [], []
+    for members, eng in groups:
+        bounds = np.linspace(0, runs, _chunk_count(runs, len(members) * k, parallelism, eng) + 1).astype(int)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            if hi > lo:
+                seeds = [run_seed(scenario.base_seed, p, r) for p in members for r in range(lo, hi)]
+                batch = tuple(specs[p] for p in members)
+                jobs.append((scenario.bandit, batch, scenario.horizon, grid, seeds, eng, scenario.bins))
+                owners.append((members, lo, hi))
+                for p in members:
+                    chunks[p] += 1
 
     width = min(parallelism, len(jobs))
     if width > 1:
@@ -250,14 +259,15 @@ def monte_carlo(scenario: Scenario, parallelism: int = 1) -> RegretCurve:
     else:
         parts = [_chunk_worker(j) for j in jobs]
 
-    mean = np.empty((len(chunks), len(grid)))
-    stderr = np.zeros((len(chunks), len(grid)))
-    ends = np.cumsum(chunks)
-    for p_idx, (lo, hi) in enumerate(zip(ends - chunks, ends)):
-        regrets = np.vstack(parts[lo:hi])
-        mean[p_idx] = regrets.mean(axis=0)
+    regrets = np.empty((len(specs), runs, len(grid)))
+    for (members, lo, hi), part in zip(owners, parts):
+        regrets[members, lo:hi] = part.reshape(len(members), hi - lo, len(grid))
+    mean = np.empty((len(specs), len(grid)))
+    stderr = np.zeros((len(specs), len(grid)))
+    for p_idx, rows in enumerate(regrets):
+        mean[p_idx] = rows.mean(axis=0)
         if runs > 1:
-            stderr[p_idx] = regrets.std(axis=0, ddof=1) / math.sqrt(runs)
+            stderr[p_idx] = rows.std(axis=0, ddof=1) / math.sqrt(runs)
 
     return RegretCurve(
         policies=names,
@@ -265,7 +275,7 @@ def monte_carlo(scenario: Scenario, parallelism: int = 1) -> RegretCurve:
         mean=mean,
         stderr=stderr,
         runs=runs,
-        engines=tuple(engines),
+        engines=engines,
         chunks=tuple(chunks),
     )
 

@@ -339,19 +339,23 @@ def _rank_rule(scores, u, minimize):
     return np.array(picks)
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
 @pytest.mark.parametrize("minimize", [False, True])
 @pytest.mark.parametrize("ties", ["none", "some", "every"])
-def test_tie_break_agrees_with_the_rank_rule(minimize, ties):
+def test_tie_break_agrees_with_the_rank_rule(minimize, ties, order):
+    # the simulation loop's score buffer is arm-major (F order); one-run
+    # callers pass C-ordered rows
     rng = np.random.default_rng(41)
     runs, k = 300, 5
     for _ in range(20):
-        scores = np.array([rng.permutation(k) for _ in range(runs)], dtype=float)
+        scores = np.array([rng.permutation(k) for _ in range(runs)], dtype=float, order=order)
         if ties != "none":
             tied_rows = np.arange(runs) if ties == "every" else rng.choice(runs, runs // 3, replace=False)
             best = -1.0 if minimize else float(k)
             for r in tied_rows:
                 scores[r, rng.choice(k, rng.integers(2, k + 1), replace=False)] = best
         u = rng.random(runs)
+        assert scores.flags.f_contiguous == (order == "F")
         assert np.array_equal(_vector._tie_break(scores, u, minimize), _rank_rule(scores, u, minimize))
         # the scalar engine's call: one run, shape (1, K), a float uniform
         for r in range(0, runs, 37):

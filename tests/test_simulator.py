@@ -192,14 +192,16 @@ def test_chunk_counts_follow_engine_and_parallelism():
 
 @pytest.mark.parametrize(
     "k,runs,short,chunks",
-    [(23, 89, 1, (1, 1, 1)), (32, 64, 0, (1, 2, 2))],
-    ids=["one-cell-below-two-chunks", "two-chunks"],
+    [(31, 33, 2, (1, 1, 1)), (32, 32, 0, (1, 2, 2))],
+    ids=["just-below-two-chunks", "two-chunks"],
 )
 def test_vector_chunks_stay_at_least_the_floor_wide(k, runs, short, chunks):
-    # runs * K is one cell short of, resp. exactly, two chunks of the floor
+    # the batch of both policies, 2 * runs * K cells, is as close below two
+    # floors as an even count gets, resp. exactly two floors; each policy
+    # alone is about one floor wide
     from bandit_switch import simulator
 
-    assert runs * k == 2 * simulator._MIN_CHUNK_CELLS - short
+    assert 2 * runs * k == 2 * simulator._MIN_CHUNK_CELLS - short
     bandit = BanditInstance(tuple(Bernoulli(p) for p in np.linspace(0.2, 0.8, k)))
     specs = (PolicySpec("ucb"), PolicySpec("klucb-switch-anytime", switch_exponent=8.0 / 9.0))
     scenario = Scenario(bandit=bandit, horizon=k + 20, policies=specs, runs=runs, base_seed=77)
@@ -229,11 +231,13 @@ def test_one_pool_per_call(monkeypatch, parallelism, pools):
         PolicySpec("klucb-switch-anytime"),
         PolicySpec("imed"),
     )
-    scenario = Scenario(bandit=BERN3, horizon=50, policies=specs, runs=6, base_seed=4)
+    # 5 policies x 140 runs x 3 arms: 2,100 cells, two floor-wide batch chunks
+    scenario = Scenario(bandit=BERN3, horizon=50, policies=specs, runs=140, base_seed=4)
     curve = monte_carlo(scenario, parallelism=parallelism)
     assert len(opened) == pools
     assert all(width <= parallelism for width in opened)
     assert curve.engines == ("vector",) * 5
+    assert curve.chunks == (parallelism,) * 5
 
 
 @pytest.mark.parametrize("bad", [0, -3, 1.5, "abc", True])
@@ -465,3 +469,71 @@ def test_empirical_batch_equals_its_runs_one_at_a_time(spec, bins):
         one, one_actions = _vector.simulate(TRUNC_GAUSS, spec, horizon, [sd], grid, **kw)
         assert one_actions[0].tobytes() == actions[r].tobytes(), f"run {r}: actions differ"
         assert one[0].tobytes() == regrets[r].tobytes(), f"run {r}: regrets differ"
+
+
+def _roster(horizon):
+    # every vector family and option: imed, both ucb bonuses, the
+    # known-horizon trio, augmented_phi, both switch exponents
+    return (
+        PolicySpec("imed"),
+        PolicySpec("ucb", ucb_classic=True, label="ucb-classic"),
+        PolicySpec("ucb"),
+        PolicySpec("klucb", horizon=horizon),
+        PolicySpec("klucb-switch", horizon=horizon),
+        PolicySpec("moss", horizon=horizon),
+        PolicySpec("klucb-anytime", exploration="augmented_phi"),
+        PolicySpec("klucb-switch-anytime", switch_exponent=8.0 / 9.0, label="switch-8/9"),
+        PolicySpec("klucb-switch-anytime", exploration="augmented_phi", label="switch-0.2"),
+        PolicySpec("moss-anytime", exploration="augmented_phi"),
+    )
+
+
+def _bernoulli(k):
+    return BanditInstance(tuple(Bernoulli(p) for p in np.linspace(0.8, 0.3, k)))
+
+
+CONTINUOUS_ROSTER = (
+    PolicySpec("klucb-gauss", sigma=0.2),
+    PolicySpec("klucb-exp", horizon=40),
+    PolicySpec("klucb-exp", exploration="augmented_phi", label="klucb-exp-anytime"),
+    PolicySpec("moss", horizon=40),
+    PolicySpec("klucb-anytime"),  # no exact vector form on continuous arms: scalar engine
+    PolicySpec("ucb"),
+)
+
+
+@pytest.mark.parametrize(
+    "bandit,roster,runs,horizon",
+    [
+        (FIG1_LEFT, _roster(60), 200, 60),
+        (BERN3, _roster(40), 1, 40),
+        (_bernoulli(10), _roster(50), 7, 50),
+        (_bernoulli(50), _roster(70), 7, 70),
+        (TRUNC_GAUSS, CONTINUOUS_ROSTER, 7, 40),
+    ],
+    ids=["k2-runs200", "k3-runs1", "k10-runs7", "k50-runs7", "continuous-k3-runs7"],
+)
+def test_roster_batch_equals_each_policy_alone(bandit, roster, runs, horizon):
+    # the lock-step batch keeps every (policy, run) bit of a one-policy
+    # simulation, whatever the roster around it and the parallelism
+    scenario = Scenario(bandit=bandit, horizon=horizon, policies=roster, runs=runs, base_seed=303)
+    grid = scenario.record_grid
+    curves = [monte_carlo(scenario, parallelism=p) for p in (1, 2, 3)]
+    for p_idx, spec in enumerate(roster):
+        seeds = [run_seed(303, p_idx, r) for r in range(runs)]
+        if curves[0].engines[p_idx] == "vector":
+            rows = _vector.simulate(bandit, spec, horizon, seeds, grid)
+        else:
+            rows = np.vstack([run_episode(bandit, spec, horizon, sd).trajectory[np.asarray(grid) - 1] for sd in seeds])
+        stderr = rows.std(axis=0, ddof=1) / math.sqrt(runs) if runs > 1 else np.zeros(len(grid))
+        for curve in curves:
+            assert curve.mean[p_idx].tobytes() == rows.mean(axis=0).tobytes(), spec.name
+            assert curve.stderr[p_idx].tobytes() == stderr.tobytes(), spec.name
+    assert ("scalar" in curves[0].engines) == (roster is CONTINUOUS_ROSTER)
+
+
+def test_simulate_rejects_seeds_that_do_not_split_into_equal_blocks():
+    specs = (PolicySpec("ucb"), PolicySpec("moss-anytime"))
+    seeds = [run_seed(1, 0, r) for r in range(3)]
+    with pytest.raises(ValueError, match="equal blocks"):
+        _vector.simulate(BERN3, specs, 10, seeds, (10,))
