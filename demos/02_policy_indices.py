@@ -39,7 +39,7 @@ specs = {
     "moss-anytime": PolicySpec("moss-anytime"),
     "klucb-anytime": PolicySpec("klucb-anytime"),
     "switch-anytime": PolicySpec("klucb-switch-anytime"),
-    "imed (argmin!)": PolicySpec("imed"),
+    "imed (-score)": PolicySpec("imed"),
 }
 
 print(f"state after t = {state.t} pulls: counts = {state.counts[0].astype(int).tolist()}, "

@@ -12,8 +12,6 @@ from .distributions import (
     TruncatedExponential,
     TruncatedGaussian,
     arm_from_config,
-    sample,
-    true_mean,
 )
 from .kinf import (
     KinfResult,

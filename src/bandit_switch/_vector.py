@@ -5,7 +5,8 @@
 shape (runs, arms): a batch of independent runs, or one run (also
 :func:`.policies.select_arm`'s state).  :func:`simulate` stacks the runs
 of several policies as row blocks of one such state, stored arm-major so
-that reductions over the arms run along the long axis.  Rewards and
+that reductions over the arms run along the long axis.  Every index is
+maximised; imed's is its score negated.  Rewards and
 tie-breaks come from the counter-based hash in :mod:`._rng`, and the
 Bernoulli and exponential KL are inverted by one Newton iteration,
 :func:`_newton_down`, stopped element by element; so each run's
@@ -206,13 +207,12 @@ def _draw(ctx: _Ctx, action: np.ndarray, u: np.ndarray) -> np.ndarray:
     return r
 
 
-def _tie_break(scores: np.ndarray, u, minimize: bool) -> np.ndarray:
-    """Per run, the arm of best score; among m tied arms, the i-th in arm
+def _tie_break(scores: np.ndarray, u) -> np.ndarray:
+    """Per run, the arm of largest score; among m tied arms, the i-th in arm
     order for u in [i/m, (i+1)/m).  Scores are finite, so every run has at
     least one best arm, and a run with one takes the first best; the rank
     scan runs only on the runs with two or more."""
-    best = scores.min(axis=1, keepdims=True) if minimize else scores.max(axis=1, keepdims=True)
-    tied = scores == best
+    tied = scores == scores.max(axis=1, keepdims=True)
     action = tied.argmax(axis=1)
     if np.count_nonzero(tied) > len(scores):
         multi = np.flatnonzero(np.count_nonzero(tied, axis=1) > 1)
@@ -222,56 +222,41 @@ def _tie_break(scores: np.ndarray, u, minimize: bool) -> np.ndarray:
     return action
 
 
-def _kl_upper(p: np.ndarray, d: np.ndarray, dists, pending, out=None, cells=None) -> np.ndarray:
-    """sup { mu : divergence <= d } entrywise: ``klucb_index`` on each
-    cell's empirical distribution when ``dists`` are given, else the
-    Bernoulli KL on the mean ``p``.  The result is returned as a new array,
-    or, given ``out``, put at its flat ``cells`` (``out`` is returned).
-    With a list ``pending`` the Bernoulli inversion is not done here: the
-    destination is queued on it as ``(out, cells, p, d)``, for
-    :func:`_invert_pending` to fill."""
-    if dists is not None:
-        at = range(len(dists)) if cells is None else cells.tolist()
-        r = np.array([klucb_index(dists[c], x) for c, x in zip(at, d.ravel().tolist())]).reshape(p.shape)
-    elif pending is None:
-        r = bern_klucb(p, d)
-    else:
-        out = np.empty_like(p) if out is None else out
+def _kl_upper(out: np.ndarray, cells: np.ndarray, p: np.ndarray, d: np.ndarray, dists, pending: list) -> None:
+    """sup { mu : divergence <= d } at the flat ``cells`` of ``out``, with
+    ``p`` and ``d`` the means and budgets of those cells: ``klucb_index`` on
+    each cell's empirical distribution ``dists[c]``, put at once, when
+    ``dists`` are given; else the Bernoulli KL on the mean, queued on
+    ``pending`` as ``(out, cells, p, d)`` for :func:`_invert_pending`."""
+    if dists is None:
         pending.append((out, cells, p, d))
-        return out
-    if out is None:
-        return r
-    out.put(cells, r)
-    return out
+    else:
+        out.put(cells, [klucb_index(dists[c], x) for c, x in zip(cells.tolist(), d.tolist())])
 
 
 def _invert_pending(pending: list) -> None:
-    """Every deferred Bernoulli-KL inversion of :func:`_kl_upper` in one
-    :func:`bern_klucb` call, each result written to its destination."""
-    if len(pending) == 1:
-        r = bern_klucb(pending[0][2].ravel(), pending[0][3].ravel())
+    """Every queued Bernoulli-KL inversion of :func:`_kl_upper` in one
+    :func:`bern_klucb` call, each result put at its cells."""
+    if len(pending) == 1:  # no concatenation copy
+        r = bern_klucb(pending[0][2], pending[0][3])
     else:
-        r = bern_klucb(np.concatenate([e[2].ravel() for e in pending]), np.concatenate([e[3].ravel() for e in pending]))
+        r = bern_klucb(np.concatenate([e[2] for e in pending]), np.concatenate([e[3] for e in pending]))
     lo = 0
     for out, cells, p, _ in pending:
-        if cells is None:
-            out[...] = r[lo : lo + p.size].reshape(p.shape)
-        else:
-            out.put(cells, r[lo : lo + p.size])
+        out.put(cells, r[lo : lo + p.size])
         lo += p.size
 
 
 def _indices(ctx: _Ctx, n: np.ndarray, s: np.ndarray, t: int, dists=None, pending=None) -> np.ndarray:
     """Index of every (run, arm) at time ``t`` from pull counts ``n`` (all
-    >= 1) and reward sums ``s``, both of shape (runs, arms).  For imed the
-    index is a score to *minimise*; every other family maximises.
+    >= 1) and reward sums ``s``, both of shape (runs, arms).  Every family
+    maximises: imed's index is its score negated, -(N kinf + ln N).
 
     ``dists``, the empirical distribution of every cell in the flat
-    ``run * arms + arm`` order, selects the ``kinf`` branch of the
-    empirical-likelihood families; without it they take the Bernoulli
-    branch, exact for arms supported on {0, 1}.  With a list ``pending``,
-    the Bernoulli-KL cells are left unfilled and queued on it (see
-    :func:`_kl_upper`).
+    arm-major order ``arm * runs + run``, selects the ``kinf`` branch of
+    the empirical-likelihood families; without it they take the Bernoulli
+    branch, exact for arms supported on {0, 1}, whose klucb cells are left
+    unfilled and queued on the list ``pending`` (see :func:`_kl_upper`).
     """
     spec = ctx.spec
     fam = spec.family
@@ -291,32 +276,30 @@ def _indices(ctx: _Ctx, n: np.ndarray, s: np.ndarray, t: int, dists=None, pendin
         ref = spec.horizon if spec.horizon is not None else t
         d = _explo(spec.exploration, ref / (k * n)) / n
         return exp_klucb(np.maximum(mean, 1e-12), d)
-    if fam in ("klucb", "klucb-anytime"):
-        ref = spec.horizon if fam == "klucb" else t
-        d = _explo(spec.exploration, ref / (k * n)) / n
-        return _kl_upper(mean, d, dists, pending)
-    if fam in ("klucb-switch", "klucb-switch-anytime"):
-        ref = spec.horizon if fam == "klucb-switch" else t
-        e = _explo(spec.exploration, ref / k / n)  # the budget both branches read
-        out = mean + np.sqrt(e / (2.0 * n))
-        kl_branch = n <= switch_value(ref, k, spec.switch_exponent)
-        if kl_branch.any():
-            # Bernoulli cells are taken in the arm-major state's memory order,
-            # kinf cells in the run-major order its distributions are listed in.
-            lay = np.transpose if dists is None else np.asarray
-            cells = np.flatnonzero(lay(kl_branch))
-            _kl_upper(lay(mean).take(cells), lay(e / n).take(cells), dists, pending, lay(out), cells)
-        return out
     if fam == "imed":
         pmax = np.clip(mean.max(axis=1), 1e-9, 1.0 - 1e-9)[:, None]
         if dists is None:
             kl = np.where(mean >= pmax, 0.0, _bern_kl(mean, pmax))
         else:
             kl = np.zeros_like(mean)
-            for c in np.flatnonzero(mean < pmax):
-                kl.flat[c] = kinf(dists[c], float(pmax[c // k, 0])).value
-        return n * kl + np.log(n)
-    raise AssertionError(f"unhandled family {fam!r}")
+            mu = np.broadcast_to(pmax, mean.shape).T
+            for c in np.flatnonzero(mean.T < mu):
+                kl.T.flat[c] = kinf(dists[c], float(mu.flat[c])).value
+        return -(n * kl + np.log(n))
+    if fam in ("klucb", "klucb-anytime"):  # every cell on the KL branch
+        ref = spec.horizon if fam == "klucb" else t
+        out, d = np.empty_like(mean), _explo(spec.exploration, ref / (k * n)) / n
+        cells = np.arange(n.size)
+    elif fam in ("klucb-switch", "klucb-switch-anytime"):
+        ref = spec.horizon if fam == "klucb-switch" else t
+        e = _explo(spec.exploration, ref / k / n)  # the budget both branches read
+        out, d = mean + np.sqrt(e / (2.0 * n)), e / n
+        cells = np.flatnonzero((n <= switch_value(ref, k, spec.switch_exponent)).T)
+    else:
+        raise AssertionError(f"unhandled family {fam!r}")
+    if cells.size:  # flat indices of out.T: arm-major, as dists are listed
+        _kl_upper(out.T, cells, mean.T.take(cells), d.T.take(cells), dists, pending)
+    return out
 
 
 def simulate(
@@ -337,10 +320,10 @@ def simulate(
 
     ``specs`` is one policy or a sequence of them; the seeds are then cut
     into one block of equal length per policy, in order, and each block is
-    run by its policy.  Every block writes its rows of one score buffer
-    (imed's negated, so that one tie-break maximises every row); the
-    Bernoulli-KL cells of all blocks go through one :func:`bern_klucb` call
-    per step, and the draw, state update and regret run once.
+    run by its policy.  Every block writes its rows of one score buffer,
+    which one tie-break maximises; the Bernoulli-KL cells of all blocks go
+    through one :func:`bern_klucb` call per step, and the draw, state
+    update and regret run once.
 
     The uniforms of both channels are hashed for a block of steps at a
     time, about ``_BLOCK_ELEMS`` per channel; they do not depend on the
@@ -357,19 +340,21 @@ def simulate(
     gaps = bandit.gaps
 
     # Arm-major state: (runs, K) views of (K, runs) arrays, whose flat cell
-    # (run, arm) is arm * runs + run.  The score buffer is allocated once,
-    # and ``parts`` stays bound until the next step's are built: freeing
-    # every (runs, K) temporary at once lets malloc trim the heap, which
-    # large batches then page-fault back in at every step.
+    # (run, arm) is arm * runs + run, also the index of its distribution;
+    # each block lists its distributions in its own arm-major order.  The
+    # score buffer is allocated once, and ``parts`` stays bound until the
+    # next step's are built: freeing every (runs, K) temporary at once lets
+    # malloc trim the heap, which large batches then page-fault back in at
+    # every step.
     n_cells, s_cells = np.zeros(k * runs), np.zeros(k * runs)
     n, s = n_cells.reshape(k, runs).T, s_cells.reshape(k, runs).T
     scores = np.empty((runs, k), order="F")
     dists = [EmpiricalDistribution(bins=bins) for _ in range(runs * k)] if empirical else None
-    blocks = []  # per policy: its context, and its rows of n, s, dists and scores
+    blocks = []  # per policy: its context, and its rows of n, s and dists
     for i, ctx in enumerate(ctxs):
         rows = slice(i * width, (i + 1) * width)
-        cells = None if dists is None else dists[i * width * k : (i + 1) * width * k]
-        blocks.append((ctx, n[rows], s[rows], cells, scores[rows]))
+        cells = None if dists is None else [dists[a * runs + r] for a in range(k) for r in range(runs)[rows]]
+        blocks.append((ctx, n[rows], s[rows], cells))
     run_ids = np.arange(runs)
     regret = np.zeros(runs)
     gpos = np.full(horizon + 1, -1, dtype=np.int64)
@@ -387,22 +372,17 @@ def simulate(
             if step <= k:  # each arm once, in order
                 action = np.full(runs, step - 1)
             else:
-                pending = [] if len(blocks) > 1 else None  # a lone block inverts in place
-                parts = [_indices(ctx, nb, sb, step - 1, cells, pending) for ctx, nb, sb, cells, _ in blocks]
+                pending = []
+                parts = [_indices(ctx, nb, sb, step - 1, cells, pending) for ctx, nb, sb, cells in blocks]
                 if pending:
                     _invert_pending(pending)
-                for (ctx, _, _, _, block_scores), part in zip(blocks, parts):
-                    if ctx.spec.family == "imed":
-                        np.negative(part, out=block_scores)
-                    else:
-                        block_scores[...] = part
-                action = _tie_break(scores, u_tie, False)
+                action = _tie_break(np.concatenate(parts, out=scores), u_tie)
             r = _draw(ctxs[0], action, u)
             cell = action * runs + run_ids
             s_cells[cell] += r
             n_cells[cell] += 1.0
             if dists is not None:
-                for c, x in zip((run_ids * k + action).tolist(), r.tolist()):
+                for c, x in zip(cell.tolist(), r.tolist()):
                     dists[c]._push(x)
             regret += gaps[action]
             if actions is not None:

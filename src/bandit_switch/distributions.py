@@ -35,8 +35,6 @@ __all__ = [
     "ArmModel",
     "BanditInstance",
     "arm_from_config",
-    "sample",
-    "true_mean",
     "ConfigurationError",
     "integer",
     "positive_int",
@@ -373,15 +371,6 @@ def arm_from_config(cfg: dict) -> ArmModel:
     if missing:
         raise ValueError(f"missing keys {sorted(missing)} in {kind!r} arm config")
     return cls(**{name: cfg[name] for name in fields})
-
-
-def sample(arm: ArmModel, rng: np.random.Generator) -> float:
-    """Draw one reward from ``arm`` using ``rng``; always lands in [0, 1]."""
-    return float(arm.quantile(rng.random()))
-
-
-def true_mean(arm: ArmModel) -> float:
-    return arm.true_mean()
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ Families
   arm's pull count is below the switch threshold, the moss index after.
   The anytime switch is re-evaluated every step, so an arm may switch
   back and forth.
-- ``imed``: N * kinf(dist, max empirical mean) + ln N, *minimised*.
+- ``imed``: N * kinf(dist, max empirical mean) + ln N, minimised, so its
+  index is that score negated.
 - ``klucb-exp`` / ``klucb-gauss``: parametric comparators driven by the
   exponential, resp. Gaussian, KL on means.
 
@@ -20,10 +21,10 @@ The exploration function is a configuration axis: ``log_plus`` is the
 plain positive-part logarithm, ``augmented_phi`` the inflated variant
 x -> ln_+(x (1 + ln_+^2 x)) used by the theoretical anytime indices.
 
-Every index is computed by the kernel in :mod:`._vector`, which its
-simulation loop shares; this module holds the policy configuration, the
-one-run state, and the one-run entry points :func:`indices` and
-:func:`select_arm`.
+Every family maximises its index.  Every index is computed by the kernel
+in :mod:`._vector`, which its simulation loop shares; this module holds
+the policy configuration, the one-run state, and the one-run entry points
+:func:`indices` and :func:`select_arm`.
 """
 
 from __future__ import annotations
@@ -191,15 +192,15 @@ def update(state: PolicyState, arm: int, reward: float) -> PolicyState:
 
 def indices(spec: PolicySpec, state: PolicyState) -> np.ndarray:
     """Index of every arm at the current state, shape (K,), from the kernel
-    shared with the vectorised engine.  For the imed family these are
-    scores to *minimise*; every other family maximises."""
+    shared with the vectorised engine.  Every family maximises: imed's index
+    is -(N kinf + ln N), its score negated."""
     if not state.counts.all():
         raise ValueError(f"arm {int(np.argmin(state.counts))} has not been pulled yet")
     return _indices(_Ctx(spec), state.counts, state.sums, state.t, state.dists)[0]
 
 
 def select_arm(spec: PolicySpec, state: PolicyState, tie_u: float) -> int:
-    """Arm choice: argmax of the family index (argmin for imed), ties
-    broken by the uniform ``tie_u``: among m tied arms, the i-th in arm
-    order for tie_u in [i/m, (i+1)/m)."""
-    return int(_tie_break(indices(spec, state)[None], tie_u, spec.family == "imed")[0])
+    """Arm choice: argmax of the family index, ties broken by the uniform
+    ``tie_u``: among m tied arms, the i-th in arm order for tie_u in
+    [i/m, (i+1)/m)."""
+    return int(_tie_break(indices(spec, state)[None], tie_u)[0])

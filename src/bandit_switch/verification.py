@@ -89,6 +89,18 @@ def _point(label: str, empirical: float, bound: float, stderr: float = 0.0) -> C
     return CheckPoint(label, empirical, bound, stderr, empirical > bound + 3.0 * stderr)
 
 
+def _freq_point(label: str, hits: np.ndarray, bound: float) -> CheckPoint:
+    """The frequency of ``hits`` over its runs, with the binomial stderr
+    sqrt(f (1 - f) / runs)."""
+    freq = float(np.mean(hits))
+    return _point(label, freq, bound, math.sqrt(freq * (1.0 - freq) / hits.size))
+
+
+def _mean_point(label: str, vals: np.ndarray, bound: float) -> CheckPoint:
+    """The sample mean of ``vals`` over its runs, with stderr std / sqrt(runs)."""
+    return _point(label, float(vals.mean()), bound, float(vals.std(ddof=1) / math.sqrt(vals.size)))
+
+
 def _band_point(label: str, empirical: float, lo: float, hi: float, stderr: float = 0.0) -> CheckPoint:
     ok = (lo - 3.0 * stderr) <= empirical <= (hi + 3.0 * stderr)
     return CheckPoint(f"{label} in [{lo:.6g}, {hi:.6g}]", empirical, hi, stderr, not ok)
@@ -436,10 +448,7 @@ def kinf_deviation_check(arm, n: int, u_grid, runs: int, seed: int) -> BoundChec
     vals = _resampled_kinf(arm, n, mu, runs, rng)
     points = []
     for u in u_grid:
-        freq = float(np.mean(vals >= u))
-        se = math.sqrt(freq * (1.0 - freq) / runs)
-        bound = math.e * (2 * n + 1) * math.exp(-n * u)
-        points.append(_point(f"n={n},u={u:g}", freq, bound, se))
+        points.append(_freq_point(f"n={n},u={u:g}", vals >= u, math.e * (2 * n + 1) * math.exp(-n * u)))
     params = ",".join(f"{key}={value}" for key, value in arm.to_config().items() if key != "kind")
     return BoundCheckReport(f"kinf-deviation[{arm.kind},{params},n={n}]", points, runs)
 
@@ -458,11 +467,8 @@ def kinf_integrated_deviation_check(arm, n: int, eps_grid, runs: int, seed: int)
     points = []
     for eps in eps_grid:
         table = np.array([klucb_index(dist, float(eps)) for dist in dists])
-        shortfall = np.maximum(mu - table[counts], 0.0)
-        emp = float(shortfall.mean())
-        se = float(shortfall.std(ddof=1) / math.sqrt(runs))
         bound = (2 * n + 1) * math.exp(-n * eps) * math.sqrt(math.pi / n)
-        points.append(_point(f"n={n},eps={eps:g}", emp, bound, se))
+        points.append(_mean_point(f"n={n},eps={eps:g}", np.maximum(mu - table[counts], 0.0), bound))
     return BoundCheckReport(f"kinf-integrated-deviation[{arm.kind},n={n}]", points, runs)
 
 
@@ -487,13 +493,11 @@ def kinf_concentration_check(arm, mu: float, n_grid, runs: int, seed: int) -> Bo
         vals = _resampled_kinf(arm, int(n), mu, runs, rng)
         for frac in _CONCENTRATION_X_FRACS:
             x = frac * k_true
-            freq = float(np.mean(vals <= x))
-            se = math.sqrt(freq * (1.0 - freq) / runs)
             if x <= k_true - gamma / 2.0:
                 bound = math.exp(-n * gamma / 8.0)
             else:
                 bound = math.exp(-n * (k_true - x) ** 2 / (2.0 * gamma))
-            points.append(_point(f"n={n},x={x:.4f}", freq, bound, se))
+            points.append(_freq_point(f"n={n},x={x:.4f}", vals <= x, bound))
     return BoundCheckReport(
         f"kinf-concentration[{arm.kind},mu={mu}]",
         points,
@@ -543,10 +547,7 @@ def hoeffding_max_check(arm, n_start: int, u_grid, runs: int, seed: int) -> Boun
     mx = _max_deviation_stream(arm, n_start, _HOEFFDING_CAP_FACTOR * n_start, runs, rng, sign=1.0)
     points = []
     for u in u_grid:
-        freq = float(np.mean(mx >= u))
-        se = math.sqrt(freq * (1.0 - freq) / runs)
-        bound = math.exp(-2.0 * n_start * u * u)
-        points.append(_point(f"N={n_start},u={u:g}", freq, bound, se))
+        points.append(_freq_point(f"N={n_start},u={u:g}", mx >= u, math.exp(-2.0 * n_start * u * u)))
     return BoundCheckReport(
         f"hoeffding-max[{arm.kind},N={n_start}]",
         points,
@@ -562,11 +563,8 @@ def hoeffding_integrated_check(arm, n_start: int, eps_grid, runs: int, seed: int
     mx = _max_deviation_stream(arm, n_start, _HOEFFDING_CAP_FACTOR * n_start, runs, rng, sign=-1.0)
     points = []
     for eps in eps_grid:
-        vals = np.maximum(mx - eps, 0.0)
-        emp = float(vals.mean())
-        se = float(vals.std(ddof=1) / math.sqrt(runs))
         bound = math.sqrt(math.pi / 8.0) * math.sqrt(1.0 / n_start) * math.exp(-2.0 * n_start * eps * eps)
-        points.append(_point(f"N={n_start},eps={eps:g}", emp, bound, se))
+        points.append(_mean_point(f"N={n_start},eps={eps:g}", np.maximum(mx - eps, 0.0), bound))
     return BoundCheckReport(f"hoeffding-integrated[{arm.kind},N={n_start}]", points, runs)
 
 
@@ -577,8 +575,8 @@ def hoeffding_integrated_check(arm, n_start: int, eps_grid, runs: int, seed: int
 def _checkpoint_states(bandit: BanditInstance, seeds, actions: np.ndarray, steps):
     """(step, n, s, dists) after each of the increasing ``steps``: the pull
     counts and reward sums, shape (runs, K), and the empirical distribution
-    of every cell in the flat ``run * K + arm`` order, of the runs with
-    these ``seeds`` that took the logged ``actions`` (runs, T).
+    of every cell in the flat arm-major order ``arm * runs + run``, of the
+    runs with these ``seeds`` that took the logged ``actions`` (runs, T).
 
     One array pass rebuilds them: each run's rewards are hashed as the
     simulation hashes them, drawn by the arms' own quantiles, and summed by
@@ -596,7 +594,7 @@ def _checkpoint_states(bandit: BanditInstance, seeds, actions: np.ndarray, steps
         n[:, :, a] = np.cumsum(pulled, axis=1)[:, steps - 1].T
         s[:, :, a] = np.cumsum(np.where(pulled, arm.quantile(u), 0.0), axis=1)[:, steps - 1].T
     for step, n_t, s_t in zip(steps.tolist(), n, s):
-        dists = [_binary_empirical(int(m), int(c)) for m, c in zip(n_t.ravel().tolist(), s_t.ravel().tolist())]
+        dists = [_binary_empirical(int(m), int(c)) for m, c in zip(n_t.T.ravel().tolist(), s_t.T.ravel().tolist())]
         yield step, n_t, s_t, dists
 
 

@@ -14,8 +14,6 @@ from bandit_switch import (
     TruncatedExponential,
     TruncatedGaussian,
     arm_from_config,
-    sample,
-    true_mean,
 )
 
 ALL_ARMS = [
@@ -118,13 +116,13 @@ def test_dirac_always_returns_its_value():
     rng = np.random.default_rng(15)
     arm = Dirac(0.7)
     for _ in range(10):
-        assert sample(arm, rng) == 0.7
+        assert arm.quantile(rng.random()) == 0.7
 
 
 def test_degenerate_bernoulli():
     rng = np.random.default_rng(16)
-    assert all(sample(Bernoulli(1.0), rng) == 1.0 for _ in range(10))
-    assert all(sample(Bernoulli(0.0), rng) == 0.0 for _ in range(10))
+    assert all(Bernoulli(1.0).quantile(rng.random()) == 1.0 for _ in range(10))
+    assert all(Bernoulli(0.0).quantile(rng.random()) == 0.0 for _ in range(10))
 
 
 def test_truncated_gaussian_sample_mean_matches_analytic():
@@ -139,8 +137,8 @@ def test_truncated_gaussian_sample_mean_matches_analytic():
 
 
 def test_true_mean_trivial_models():
-    assert true_mean(Bernoulli(0.8)) == 0.8
-    assert true_mean(Dirac(0.3)) == 0.3
+    assert Bernoulli(0.8).true_mean() == 0.8
+    assert Dirac(0.3).true_mean() == 0.3
 
 
 def test_truncated_exponential_mean_closed_form_and_monte_carlo():

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from bandit_switch import (
+    FAMILIES,
     BanditInstance,
     Bernoulli,
     PolicySpec,
     PolicyState,
     indices,
+    kinf,
     log_plus,
     moss_index,
     phi,
@@ -252,11 +254,12 @@ def test_anytime_indices_below_horizon_phi_counterparts():
 
 def test_imed_prefers_undersampled_equal_mean_arm():
     # equal means: the divergence term vanishes, leaving ln N; the arm
-    # with fewer pulls gets the smaller score and is selected
+    # with fewer pulls gets the smaller score, so the larger index -score,
+    # and is selected
     state = make_state([20, 5], [10.0, 2.5], 25)
     spec = PolicySpec("imed")
     s0, s1 = indices(spec, state)
-    assert s1 < s0
+    assert s1 > s0
     assert select_arm(spec, state, tie_u=0.0) == 1
 
 
@@ -272,14 +275,18 @@ def test_imed_prefers_undersampled_equal_mean_arm():
 )
 def test_kernel_empirical_branch_matches_bernoulli_branch(family, kwargs):
     # on {0, 1} rewards the kinf branch (given the distributions) and the
-    # Bernoulli branch (means only) compute the same divergence
+    # Bernoulli branch (means only, its KL cells queued and then inverted)
+    # compute the same divergence
     spec = PolicySpec(family, **kwargs)
     ctx = _vector._Ctx(spec)
     rng = np.random.default_rng(24)
     for _ in range(40):
         state = random_binary_state(rng, int(rng.integers(2, 5)), int(rng.integers(0, 250)))
         empirical = _vector._indices(ctx, state.counts, state.sums, state.t, state.dists)[0]
-        bernoulli = _vector._indices(ctx, state.counts, state.sums, state.t)[0]
+        pending = []
+        bernoulli = _vector._indices(ctx, state.counts, state.sums, state.t, None, pending)[0]
+        if pending:  # imed, and a switch with every arm past its threshold, queue nothing
+            _vector._invert_pending(pending)
         assert np.max(np.abs(empirical - bernoulli)) < 1e-10
 
 
@@ -344,7 +351,8 @@ def _rank_rule(scores, u, minimize):
 @pytest.mark.parametrize("ties", ["none", "some", "every"])
 def test_tie_break_agrees_with_the_rank_rule(minimize, ties, order):
     # the simulation loop's score buffer is arm-major (F order); one-run
-    # callers pass C-ordered rows
+    # callers pass C-ordered rows.  The tie-break maximises, so a score to
+    # minimise is passed negated
     rng = np.random.default_rng(41)
     runs, k = 300, 5
     for _ in range(20):
@@ -356,8 +364,44 @@ def test_tie_break_agrees_with_the_rank_rule(minimize, ties, order):
                 scores[r, rng.choice(k, rng.integers(2, k + 1), replace=False)] = best
         u = rng.random(runs)
         assert scores.flags.f_contiguous == (order == "F")
-        assert np.array_equal(_vector._tie_break(scores, u, minimize), _rank_rule(scores, u, minimize))
+        signed = -scores if minimize else scores
+        assert np.array_equal(_vector._tie_break(signed, u), _rank_rule(scores, u, minimize))
         # the scalar engine's call: one run, shape (1, K), a float uniform
         for r in range(0, runs, 37):
-            one = _vector._tie_break(scores[r][None], float(u[r]), minimize)
+            one = _vector._tie_break(signed[r][None], float(u[r]))
             assert one.shape == (1,) and one[0] == _rank_rule(scores[r][None], u[r], minimize)[0]
+
+
+def random_state_with_twins(rng, k, extra_pulls):
+    # rewards in [0, 1] with atoms at 0 and 1; arms 1 to twins - 1 are
+    # copies of arm 0 (the same rewards in the same order), and in half of
+    # the states every arm is, so that every family ties arms exactly
+    twins = k if rng.random() < 0.5 else 2
+    state = PolicyState.fresh(k)
+    for arm in [0, *range(twins, k)] + [int(a) for a in rng.choice([0, *range(twins, k)], size=extra_pulls)]:
+        x = float(rng.choice([0.0, 1.0, rng.random()]))
+        for a in range(twins) if arm == 0 else (arm,):
+            update(state, a, x)
+    return state
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_every_family_maximises_its_index(family):
+    # one score direction: select_arm is the rank rule's argmax of indices,
+    # and imed's index is its score negated, -(N kinf + ln N)
+    spec = PolicySpec(family, horizon=400) if family in ("moss", "klucb", "klucb-switch") else PolicySpec(family)
+    rng = np.random.default_rng(43)
+    tied_states = 0
+    for _ in range(30):
+        state = random_state_with_twins(rng, int(rng.integers(2, 6)), int(rng.integers(0, 120)))
+        idx = indices(spec, state)
+        tied_states += int(np.count_nonzero(idx == idx.max()) > 1)
+        for u in rng.random(4):
+            assert select_arm(spec, state, float(u)) == _rank_rule(idx[None], u, False)[0]
+        if family == "imed":
+            n = state.counts[0]
+            mean = state.sums[0] / n
+            pmax = float(np.clip(mean.max(), 1e-9, 1.0 - 1e-9))
+            kl = np.array([kinf(d, pmax).value if m < pmax else 0.0 for d, m in zip(state.dists, mean)])
+            assert np.array_equal(idx, -(n * kl + np.log(n)))
+    assert tied_states > 0

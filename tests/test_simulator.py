@@ -457,18 +457,26 @@ def test_run_episode_replays_the_scalar_reference_on_bernoulli_arms(family, kwar
 
 
 @pytest.mark.parametrize("bins", [None, 20], ids=["exact", "bins20"])
-@pytest.mark.parametrize("spec", EMPIRICAL_FAMILIES, ids=lambda spec: spec.family)
+@pytest.mark.parametrize(
+    "spec",
+    [*EMPIRICAL_FAMILIES, EMPIRICAL_FAMILIES],
+    ids=lambda spec: "three-blocks" if isinstance(spec, tuple) else spec.family,
+)
 def test_empirical_batch_equals_its_runs_one_at_a_time(spec, bins):
-    # each (run, arm) cell's distribution is found by its flat index
+    # each (run, arm) cell's distribution is found by its flat arm-major
+    # index; in a batch of several policies, each block lists its own
+    # cells' distributions in its own arm-major order
+    specs = spec if isinstance(spec, tuple) else (spec,)
     horizon = 120
-    seeds = [run_seed(5, 0, r) for r in range(3)]
+    seeds = [run_seed(5, 0, r) for r in range(3 * len(specs))]
     grid = tuple(range(1, horizon + 1))
     kw = dict(record_actions=True, empirical=True, bins=bins)
-    regrets, actions = _vector.simulate(TRUNC_GAUSS, spec, horizon, seeds, grid, **kw)
+    regrets, actions = _vector.simulate(TRUNC_GAUSS, specs, horizon, seeds, grid, **kw)
     for r, sd in enumerate(seeds):
-        one, one_actions = _vector.simulate(TRUNC_GAUSS, spec, horizon, [sd], grid, **kw)
-        assert one_actions[0].tobytes() == actions[r].tobytes(), f"run {r}: actions differ"
-        assert one[0].tobytes() == regrets[r].tobytes(), f"run {r}: regrets differ"
+        alone = specs[r // 3]
+        one, one_actions = _vector.simulate(TRUNC_GAUSS, alone, horizon, [sd], grid, **kw)
+        assert one_actions[0].tobytes() == actions[r].tobytes(), f"run {r} ({alone.family}): actions differ"
+        assert one[0].tobytes() == regrets[r].tobytes(), f"run {r} ({alone.family}): regrets differ"
 
 
 def _roster(horizon):

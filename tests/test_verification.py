@@ -188,8 +188,8 @@ def ordering_specs(horizon: int) -> list:
 def assert_checkpoints_equal_the_replay(bandit, seeds, actions, steps) -> int:
     """Every rebuilt (n, s, dists) and every index vector of the six
     specs, evaluated on the whole batch, equals the per-step replay's bit
-    for bit; returns the number of one-atom laws of n >= 2 observations."""
-    k = bandit.k
+    for bit; returns the number of one-atom laws of n >= 2 observations.
+    Run r's law of arm a is at a * runs + r, in the state's arm-major order."""
     specs = ordering_specs(actions.shape[1])
     rebuilt = {
         step: (n, s, dists, [_vector._indices(_vector._Ctx(spec), n, s, step, dists) for spec in specs])
@@ -202,7 +202,7 @@ def assert_checkpoints_equal_the_replay(bandit, seeds, actions, steps) -> int:
         assert n[r].tobytes() == counts.tobytes()
         assert s[r].tobytes() == sums.tobytes()
         for a, want in enumerate(dists):
-            got = rebuilt_dists[r * k + a]
+            got = rebuilt_dists[a * len(seeds) + r]
             assert got == want and got.mean == want.mean and got.weights.tobytes() == want.weights.tobytes()
             one_atom += len(got) == 1 and got.total_count >= 2
         for spec, got, want in zip(specs, rebuilt_vectors, vectors):
