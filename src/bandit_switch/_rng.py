@@ -50,20 +50,15 @@ def derive_key(seed: int, *path: int) -> int:
     return h
 
 
-def unit_uniform(key: int, step: int, channel: int) -> float:
-    """Uniform in [0, 1) attached to one (key, step, channel) triple."""
-    z = mix64(key ^ mix64(2 * step + channel))
-    return (z >> 11) * 2.0**-53
-
-
 def unit_uniform_array(keys: np.ndarray, step, channel: int) -> np.ndarray:
-    """Vectorised :func:`unit_uniform` over an array of uint64 keys.
+    """Uniform in [0, 1) attached to each (key, step, channel) triple, over
+    an array of uint64 keys: the top 53 bits of
+    ``mix64(key ^ mix64(2 * step + channel))``, scaled by 2^-53.
 
     ``step`` is an integer, giving one value per key, or a 1-D array of
     steps, giving one row per step: row ``i`` holds the uniforms of step
-    ``step[i]``.  Bit-for-bit identical to the scalar version entry by
-    entry, so hashing a block of steps at once or one step at a time
-    yields the same values.
+    ``step[i]``.  Each entry depends on its own triple only, so hashing a
+    block of steps at once or one step at a time yields the same values.
     """
     steps = np.asarray(step, dtype=np.uint64)
     salt = _mix64_inplace(np.uint64(2) * steps.reshape(-1, 1) + np.uint64(channel))

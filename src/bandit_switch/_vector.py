@@ -17,7 +17,8 @@ chosen by the input.  Given each (run, arm) cell's empirical distribution
 (``simulate(..., empirical=True)``), they use the divergence ``kinf`` on
 it, for any support.  Without them every arm must be supported on {0, 1},
 so that the empirical distribution reduces to its mean and the divergence
-to the Bernoulli KL, hence :func:`supports`.
+to the Bernoulli KL; :func:`.simulator._policy_engine` decides which
+policies run without them.
 """
 
 from __future__ import annotations
@@ -41,13 +42,6 @@ _EMPIRICAL_EXPONENT = 8.0 / 9.0
 # _BLOCK_STEPS, since hashing holds about two temporaries of its size.
 _BLOCK_ELEMS = 1 << 15
 _BLOCK_STEPS = 1 << 10
-
-
-def supports(bandit: BanditInstance, spec: PolicySpec) -> bool:
-    """Whether the batch engine can simulate (bandit, spec) exactly: always,
-    unless the policy needs the empirical distributions and an arm is not
-    supported on {0, 1}."""
-    return not spec.needs_distributions or all(arm.support_binary for arm in bandit.arms)
 
 
 def _explo(kind: str, x):
@@ -179,28 +173,21 @@ def exp_klucb(h: np.ndarray, d: np.ndarray) -> np.ndarray:
 
 @dataclass
 class _Ctx:
-    """What the kernel and the reward draw read: the policy, and the arms
-    (with their parameters as an array when every arm is Bernoulli).  The
-    kernel reads only ``spec``."""
+    """What the kernel reads: the policy."""
 
     spec: PolicySpec
-    arms: tuple = ()
-    bern_p: np.ndarray | None = None
 
 
-def _make_ctx(bandit: BanditInstance, spec: PolicySpec) -> _Ctx:
-    arms = bandit.arms
-    bern_p = np.array([a.p for a in arms]) if all(isinstance(a, Bernoulli) for a in arms) else None
-    return _Ctx(spec=spec, arms=arms, bern_p=bern_p)
-
-
-def _draw(ctx: _Ctx, action: np.ndarray, u: np.ndarray) -> np.ndarray:
-    if ctx.bern_p is not None:
-        return np.where(u < ctx.bern_p[action], 1.0, 0.0)
+def _draw(arms: tuple, bern_p: np.ndarray | None, action: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The reward of each run's ``action`` at its uniform ``u``: from the
+    Bernoulli parameters ``bern_p`` when every arm is Bernoulli, else by
+    the arms' own quantiles."""
+    if bern_p is not None:
+        return np.where(u < bern_p[action], 1.0, 0.0)
     if not np.count_nonzero(action != action[0]):  # one arm for every run, as for a lone run
-        return ctx.arms[action[0]].quantile(u)
+        return arms[action[0]].quantile(u)
     r = np.empty(action.shape)
-    for a, arm in enumerate(ctx.arms):
+    for a, arm in enumerate(arms):
         mask = action == a
         if mask.any():
             r[mask] = arm.quantile(u[mask])
@@ -336,8 +323,8 @@ def simulate(
     if extra:
         raise ValueError(f"{runs} seeds do not split into {len(specs)} equal blocks")
     keys = mix64_array(np.asarray(seeds, dtype=np.uint64))
-    ctxs = [_make_ctx(bandit, spec) for spec in specs]
-    gaps = bandit.gaps
+    arms, gaps = bandit.arms, bandit.gaps
+    bern_p = np.array([a.p for a in arms]) if all(isinstance(a, Bernoulli) for a in arms) else None
 
     # Arm-major state: (runs, K) views of (K, runs) arrays, whose flat cell
     # (run, arm) is arm * runs + run, also the index of its distribution;
@@ -351,10 +338,10 @@ def simulate(
     scores = np.empty((runs, k), order="F")
     dists = [EmpiricalDistribution(bins=bins) for _ in range(runs * k)] if empirical else None
     blocks = []  # per policy: its context, and its rows of n, s and dists
-    for i, ctx in enumerate(ctxs):
+    for i, spec in enumerate(specs):
         rows = slice(i * width, (i + 1) * width)
         cells = None if dists is None else [dists[a * runs + r] for a in range(k) for r in range(runs)[rows]]
-        blocks.append((ctx, n[rows], s[rows], cells))
+        blocks.append((_Ctx(spec), n[rows], s[rows], cells))
     run_ids = np.arange(runs)
     regret = np.zeros(runs)
     gpos = np.full(horizon + 1, -1, dtype=np.int64)
@@ -377,7 +364,7 @@ def simulate(
                 if pending:
                     _invert_pending(pending)
                 action = _tie_break(np.concatenate(parts, out=scores), u_tie)
-            r = _draw(ctxs[0], action, u)
+            r = _draw(arms, bern_p, action, u)
             cell = action * runs + run_ids
             s_cells[cell] += r
             n_cells[cell] += 1.0

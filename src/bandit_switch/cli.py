@@ -297,11 +297,8 @@ def cmd_sweep(args) -> int:
     expanded_points = []
     for value, k, t, scenario in points:
         curve = monte_carlo(scenario, parallelism=parallelism)
-        norm = normalized_regret(curve, k, t)
-        if not isinstance(norm, dict):
-            norm = {curve.policies[0]: norm}
         for name in curve.policies:
-            rows.append([axis, value, name, _fmt(float(norm[name]))])
+            rows.append([axis, value, name, _fmt(normalized_regret(curve, k, t, name))])
         expanded_points.append({"sweep_value": value, "scenario": _expanded_echo(scenario), "fanout": _fanout(curve)})
     with open(os.path.join(out_dir, "sweep.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -21,7 +21,7 @@ import dataclasses
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence, Union, get_args
 
 import numpy as np
 
@@ -143,16 +143,6 @@ class EmpiricalDistribution:
         self._total += 1
         self._sum += x
 
-    def observe(self, x: float) -> "EmpiricalDistribution":
-        """Return a new distribution with one more observation of ``x``."""
-        out = EmpiricalDistribution(bins=self._bins)
-        out._values = self._values.copy()
-        out._counts = self._counts.copy()
-        out._total = self._total
-        out._sum = self._sum
-        out._push(float(x))
-        return out
-
     @property
     def values(self) -> np.ndarray:
         return self._values
@@ -196,8 +186,35 @@ class EmpiricalDistribution:
         return f"EmpiricalDistribution(n={self._total}, atoms={len(self)})"
 
 
+class _ArmLaw:
+    """What an arm model derives from its dataclass fields, its ``kind``
+    and, for a finite law, its ``support``, a pair (values, probs): the
+    config echo, whether the law lives on {0, 1}, and the mean of a finite
+    law, the fsum of its atoms.  Each model states its own ``quantile``;
+    the truncated laws, which have no finite support, state a closed-form
+    ``true_mean``."""
+
+    support = None
+
+    def true_mean(self) -> float:
+        return math.fsum(v * p for v, p in zip(*self.support))
+
+    @property
+    def support_binary(self) -> bool:
+        return self.support is not None and all(v in (0.0, 1.0) for v in self.support[0])
+
+    def to_config(self) -> dict:
+        # Tuples echo as lists, as JSON reads them back, so meta.json and the
+        # verify report names print them as lists.
+        cfg = {"kind": self.kind}
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            cfg[f.name] = list(value) if isinstance(value, tuple) else value
+        return cfg
+
+
 @dataclass(frozen=True)
-class Bernoulli:
+class Bernoulli(_ArmLaw):
     p: float
     kind = "bernoulli"
 
@@ -205,22 +222,16 @@ class Bernoulli:
         if not 0.0 <= self.p <= 1.0:
             raise ValueError("Bernoulli parameter must lie in [0, 1]")
 
-    def true_mean(self) -> float:
-        return self.p
+    @property
+    def support(self) -> tuple:
+        return (0.0, 1.0), (1.0 - self.p, self.p)
 
     def quantile(self, u: ArrayLike) -> ArrayLike:
         return np.where(u < self.p, 1.0, 0.0)
 
-    @property
-    def support_binary(self) -> bool:
-        return True
-
-    def to_config(self) -> dict:
-        return {"kind": "bernoulli", "p": self.p}
-
 
 @dataclass(frozen=True)
-class TruncatedExponential:
+class TruncatedExponential(_ArmLaw):
     """Exponential with pre-truncation expectation ``mean``, clamped to [0, 1]."""
 
     mean: float
@@ -238,16 +249,9 @@ class TruncatedExponential:
     def quantile(self, u: ArrayLike) -> ArrayLike:
         return np.minimum(-self.mean * np.log1p(-u), 1.0)
 
-    @property
-    def support_binary(self) -> bool:
-        return False
-
-    def to_config(self) -> dict:
-        return {"kind": "truncexp", "mean": self.mean}
-
 
 @dataclass(frozen=True)
-class TruncatedGaussian:
+class TruncatedGaussian(_ArmLaw):
     """Gaussian with pre-truncation mean/sigma, clamped to [0, 1]."""
 
     mean: float
@@ -275,16 +279,9 @@ class TruncatedGaussian:
 
         return np.clip(self.mean + self.sigma * ndtri(u), 0.0, 1.0)
 
-    @property
-    def support_binary(self) -> bool:
-        return False
-
-    def to_config(self) -> dict:
-        return {"kind": "truncgauss", "mean": self.mean, "sigma": self.sigma}
-
 
 @dataclass(frozen=True)
-class Dirac:
+class Dirac(_ArmLaw):
     value: float
     kind = "dirac"
 
@@ -292,22 +289,16 @@ class Dirac:
         if not 0.0 <= self.value <= 1.0:
             raise ValueError("Dirac value must lie in [0, 1]")
 
-    def true_mean(self) -> float:
-        return self.value
+    @property
+    def support(self) -> tuple:
+        return (self.value,), (1.0,)
 
     def quantile(self, u: ArrayLike) -> ArrayLike:
         return np.full_like(np.asarray(u, dtype=float), self.value)
 
-    @property
-    def support_binary(self) -> bool:
-        return self.value in (0.0, 1.0)
-
-    def to_config(self) -> dict:
-        return {"kind": "dirac", "value": self.value}
-
 
 @dataclass(frozen=True)
-class Discrete:
+class Discrete(_ArmLaw):
     """Finite distribution on [0, 1] atoms.
 
     Probabilities must sum to 1 within 1e-12; the constructor renormalises
@@ -333,8 +324,9 @@ class Discrete:
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "probs", tuple(x / total for x in p))
 
-    def true_mean(self) -> float:
-        return math.fsum(v * p for v, p in zip(self.values, self.probs))
+    @property
+    def support(self) -> tuple:
+        return self.values, self.probs
 
     def quantile(self, u: ArrayLike) -> ArrayLike:
         cum = np.cumsum(self.probs)
@@ -342,17 +334,10 @@ class Discrete:
         idx = np.minimum(idx, len(self.values) - 1)
         return np.asarray(self.values, dtype=float)[idx]
 
-    @property
-    def support_binary(self) -> bool:
-        return all(v in (0.0, 1.0) for v in self.values)
-
-    def to_config(self) -> dict:
-        return {"kind": "discrete", "values": list(self.values), "probs": list(self.probs)}
-
 
 ArmModel = Union[Bernoulli, TruncatedExponential, TruncatedGaussian, Dirac, Discrete]
 
-_KINDS = {cls.kind: cls for cls in (Bernoulli, TruncatedExponential, TruncatedGaussian, Dirac, Discrete)}
+_KINDS = {cls.kind: cls for cls in get_args(ArmModel)}
 
 
 def arm_from_config(cfg: dict) -> ArmModel:

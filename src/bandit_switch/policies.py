@@ -30,7 +30,7 @@ the policy configuration, the one-run state, and the one-run entry points
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -137,8 +137,7 @@ class PolicySpec:
     def from_config(cls, cfg: dict) -> "PolicySpec":
         if not isinstance(cfg, dict) or "family" not in cfg:
             raise ValueError(f"policy config must be a dict with a 'family' key, got {cfg!r}")
-        allowed = {"family", "horizon", "exploration", "switch_exponent", "sigma", "ucb_classic", "label"}
-        extra = set(cfg) - allowed
+        extra = set(cfg) - {f.name for f in fields(cls)}
         if extra:
             raise ValueError(f"unknown keys {sorted(extra)} in policy config")
         return cls(**cfg)

@@ -183,13 +183,13 @@ def _chunk_worker(args):
 
 def _policy_engine(scenario: Scenario, spec: PolicySpec, *_) -> str:
     """The engine that simulates ``spec`` on ``scenario``: the vectorised
-    one wherever it is exact, unless ``bins`` rounds the atoms of the
-    empirical distributions that ``spec`` reads; else the scalar one.
-    Further positional arguments are ignored (the replay check in
-    ``bench/checks.py`` still passes one)."""
-    if scenario.bins is not None and spec.needs_distributions:
-        return "scalar"
-    return "vector" if _vector.supports(scenario.bandit, spec) else "scalar"
+    one, which keeps no empirical distributions, unless ``spec`` reads them
+    and they do not reduce to their means, because an arm is not supported
+    on {0, 1} or ``bins`` rounds their atoms; else the scalar one.  Further
+    positional arguments are ignored (the replay check in ``bench/checks.py``
+    still passes one)."""
+    binary = scenario.bins is None and all(arm.support_binary for arm in scenario.bandit.arms)
+    return "scalar" if spec.needs_distributions and not binary else "vector"
 
 
 # Narrowest vector chunk given a worker of its own, in (policy, run, arm)

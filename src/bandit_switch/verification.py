@@ -18,13 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._rng import CH_REWARD, mix64_array, unit_uniform_array
-from .distributions import (
-    BanditInstance,
-    Bernoulli,
-    Dirac,
-    Discrete,
-    EmpiricalDistribution,
-)
+from .distributions import BanditInstance, Bernoulli, EmpiricalDistribution
 from .kinf import bernoulli_kl, kinf, kinf_weighted, klucb_index
 from .policies import PolicySpec
 from .simulator import Scenario, _sorted_unique, gap_profile, monte_carlo, positive_int, run_seed
@@ -396,17 +390,6 @@ def regularity_check(samples: int = 10_000, seed: int = 20_240_102, tol: float =
 # deviation / concentration checkers
 
 
-def _finite_support(arm):
-    """(values, probs) when the arm has finite support, else None."""
-    if isinstance(arm, Bernoulli):
-        return np.array([0.0, 1.0]), np.array([1.0 - arm.p, arm.p])
-    if isinstance(arm, Dirac):
-        return np.array([arm.value]), np.array([1.0])
-    if isinstance(arm, Discrete):
-        return np.asarray(arm.values, dtype=float), np.asarray(arm.probs, dtype=float)
-    return None
-
-
 def _binary_empirical(n: int, c: int) -> EmpiricalDistribution:
     """The empirical distribution of c ones out of n >= 1 observations in
     {0, 1}: one atom when c is 0 or n, else two."""
@@ -479,7 +462,7 @@ _CONCENTRATION_X_FRACS = np.linspace(0.0, 0.9, 10)
 def kinf_concentration_check(arm, mu: float, n_grid, runs: int, seed: int) -> BoundCheckReport:
     """Two-regime lower-tail bound on kinf(empirical_n, mu) below the
     population value, with the variance proxy gamma(mu)."""
-    support = _finite_support(arm)
+    support = arm.support
     if support is None:
         raise ValueError("concentration checker needs a finite-support arm")
     m = arm.true_mean()

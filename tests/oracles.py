@@ -1,6 +1,6 @@
-"""Slow but obviously-correct references that the library's inversions and
-its simulation loop are tested against.  They are independent
-implementations, not used by the library itself."""
+"""Slow but obviously-correct references that the library's inversions,
+its uniform hash and its simulation loop are tested against.  They are
+independent implementations, not used by the library itself."""
 
 import copy
 import math
@@ -9,9 +9,17 @@ import mpmath
 import numpy as np
 
 from bandit_switch import PolicyState, indices, select_arm, update
-from bandit_switch._rng import CH_REWARD, CH_TIE, mix64, unit_uniform
+from bandit_switch._rng import CH_REWARD, CH_TIE, mix64
 from bandit_switch.kinf import kinf
 from bandit_switch.verification import _ORACLE_BLOCK_BYTES
+
+
+def unit_uniform(key: int, step: int, channel: int) -> float:
+    """Uniform in [0, 1) attached to one (key, step, channel) triple, one
+    Python-integer hash at a time: the bit-exact reference for
+    ``_rng.unit_uniform_array``."""
+    z = mix64(key ^ mix64(2 * step + channel))
+    return (z >> 11) * 2.0**-53
 
 
 def exp_kl_index(mean_hat: float, threshold: float) -> float:

@@ -1,5 +1,6 @@
 """Arm models and the empirical-distribution accumulator."""
 
+import json
 import math
 
 import numpy as np
@@ -34,30 +35,23 @@ ALL_ARMS = [
 
 
 def test_observe_single_point():
-    d = EmpiricalDistribution().observe(0.5)
+    d = EmpiricalDistribution.from_observations([0.5])
     assert d.atoms == [(0.5, 1)]
     assert d.mean == 0.5
     assert d.total_count == 1
 
 
 def test_observe_increments_existing_atom():
-    d = EmpiricalDistribution([0.0, 1.0], [1, 1]).observe(1.0)
+    d = EmpiricalDistribution.from_observations([1.0, 0.0, 1.0])
     assert d.atoms == [(0.0, 1), (1.0, 2)]
     assert d.mean == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
 def test_observe_rejects_out_of_range():
     with pytest.raises(ValueError):
-        EmpiricalDistribution().observe(1.5)
+        EmpiricalDistribution.from_observations([1.5])
     with pytest.raises(ValueError):
-        EmpiricalDistribution().observe(-0.1)
-
-
-def test_observe_is_functional():
-    base = EmpiricalDistribution([0.5], [1])
-    out = base.observe(0.25)
-    assert base.atoms == [(0.5, 1)]
-    assert out.atoms == [(0.25, 1), (0.5, 1)]
+        EmpiricalDistribution.from_observations([0.5, -0.1])
 
 
 def test_observe_order_insensitive():
@@ -94,9 +88,7 @@ def test_constructor_validation():
 
 
 def test_bins_mode_rounds_to_grid():
-    d = EmpiricalDistribution(bins=10)
-    for x in (0.111, 0.108, 0.909):
-        d = d.observe(x)
+    d = EmpiricalDistribution.from_observations((0.111, 0.108, 0.909), bins=10)
     assert d.atoms == [(0.1, 2), (0.9, 1)]
 
 
@@ -201,6 +193,56 @@ def test_arm_config_round_trip(arm):
     again = arm_from_config(arm.to_config())
     assert again.to_config() == arm.to_config()
     assert again.true_mean() == pytest.approx(arm.true_mean(), abs=1e-12)
+
+
+# One arm of each kind, with its configuration as JSON writes it.
+ECHOES = [
+    (Bernoulli(0.3), '{"kind": "bernoulli", "p": 0.3}'),
+    (TruncatedExponential(0.15), '{"kind": "truncexp", "mean": 0.15}'),
+    (TruncatedGaussian(0.7, 0.1), '{"kind": "truncgauss", "mean": 0.7, "sigma": 0.1}'),
+    (Dirac(0.7), '{"kind": "dirac", "value": 0.7}'),
+    (
+        Discrete((0.1, 0.4, 0.9), (0.2, 0.5, 0.3)),
+        '{"kind": "discrete", "values": [0.1, 0.4, 0.9], "probs": [0.2, 0.5, 0.3]}',
+    ),
+]
+
+
+@pytest.mark.parametrize("arm, echo", ECHOES, ids=lambda x: getattr(x, "kind", ""))
+def test_arm_config_echo_is_pinned_and_round_trips(arm, echo):
+    assert json.dumps(arm.to_config()) == echo
+    again = arm_from_config(json.loads(echo))
+    assert again == arm
+    assert type(again) is type(arm)
+
+
+FINITE_ARMS = [
+    Bernoulli(0.3),
+    Bernoulli(0.0),
+    Bernoulli(1.0),
+    Dirac(0.7),
+    Dirac(0.0),
+    Dirac(1.0),
+    Discrete((0.1, 0.4, 0.9), (0.2, 0.5, 0.3)),
+    Discrete((0.0, 1.0), (0.3, 0.7)),
+    Discrete((0.0, 0.5, 1.0), (0.25, 0.5, 0.25)),
+]
+
+
+@pytest.mark.parametrize("arm", FINITE_ARMS, ids=repr)
+def test_finite_law_support(arm):
+    values, probs = arm.support
+    assert len(values) == len(probs) == len(set(values))
+    assert math.fsum(probs) == pytest.approx(1.0, abs=1e-15)
+    assert arm.true_mean() == pytest.approx(float(np.dot(values, probs)), abs=1e-15)
+    assert arm.support_binary == all(v in (0.0, 1.0) for v in values)
+    # The quantile on a uniform grid of m points draws only support values,
+    # each at its probability up to the grid's resolution.
+    m = 10_000
+    draws = np.asarray(arm.quantile((np.arange(m) + 0.5) / m), dtype=float)
+    assert set(draws.tolist()) <= set(values)
+    for v, p in zip(values, probs):
+        assert np.count_nonzero(draws == v) / m == pytest.approx(p, abs=1.0 / m)
 
 
 def test_arm_config_rejects_unknown():

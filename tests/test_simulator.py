@@ -12,6 +12,7 @@ from bandit_switch import (
     Bernoulli,
     ConfigurationError,
     Dirac,
+    Discrete,
     PolicySpec,
     Scenario,
     TruncatedExponential,
@@ -23,8 +24,9 @@ from bandit_switch import (
     run_seed,
 )
 from bandit_switch import _vector
-from bandit_switch._rng import CH_REWARD, CH_TIE, mix64, mix64_array, unit_uniform, unit_uniform_array
-from oracles import scalar_episode
+from bandit_switch._rng import CH_REWARD, CH_TIE, mix64, mix64_array, unit_uniform_array
+from bandit_switch.simulator import _policy_engine
+from oracles import scalar_episode, unit_uniform
 
 BERN3 = BanditInstance((Bernoulli(0.8), Bernoulli(0.5), Bernoulli(0.3)))
 
@@ -105,11 +107,9 @@ def test_vector_engine_replays_scalar_runs_gaussian_arms(family, kwargs):
 def test_vector_engine_replays_scalar_runs_discrete_binary_arms():
     # a {0,1}-supported discrete arm counts as binary for the divergence
     # families, and its rewards go through the generic grouped draw path
-    from bandit_switch import Discrete
-
     bandit = BanditInstance((Discrete((0.0, 1.0), (0.3, 0.7)), Bernoulli(0.5)))
     spec = PolicySpec("klucb-anytime")
-    assert _vector.supports(bandit, spec)
+    assert _policy_engine(Scenario(bandit, 160, (spec,), runs=1, base_seed=9), spec) == "vector"
     seeds = [run_seed(9, 0, r) for r in range(3)]
     grid = tuple(range(1, 161))
     regrets, actions = _vector.simulate(bandit, spec, 160, seeds, grid, record_actions=True)
@@ -132,11 +132,30 @@ def test_vector_engine_replays_scalar_runs_exponential_comparator():
 
 
 def test_vector_engine_support_matrix():
-    gauss = BanditInstance((TruncatedGaussian(0.7, 0.1), TruncatedGaussian(0.5, 0.1)))
-    assert _vector.supports(gauss, PolicySpec("moss", horizon=10))
-    assert _vector.supports(gauss, PolicySpec("klucb-gauss"))
-    assert not _vector.supports(gauss, PolicySpec("klucb-anytime"))
-    assert _vector.supports(BERN3, PolicySpec("klucb-anytime"))
+    # A policy that reads the empirical distributions runs on the vector
+    # engine only when they reduce to their means: every arm on {0, 1} and
+    # no bins.  Every other policy runs on it always.
+    gauss = (TruncatedGaussian(0.7, 0.1), TruncatedGaussian(0.5, 0.1))
+    binary = (Dirac(1.0), Dirac(0.0), Discrete((0.0, 1.0), (0.3, 0.7)))
+    rows = [
+        (gauss, None, "moss", "vector"),
+        (gauss, None, "klucb-gauss", "vector"),
+        (gauss, None, "klucb-anytime", "scalar"),
+        (gauss, 50, "ucb", "vector"),
+        (BERN3.arms, None, "klucb-anytime", "vector"),
+        (BERN3.arms, None, "imed", "vector"),
+        (BERN3.arms, 50, "klucb-anytime", "scalar"),
+        (BERN3.arms, 50, "moss-anytime", "vector"),
+        (binary, None, "klucb-switch-anytime", "vector"),
+        (binary, None, "imed", "vector"),
+        (binary, 50, "imed", "scalar"),
+        ((Dirac(0.5), Bernoulli(0.4)), None, "klucb-anytime", "scalar"),
+        ((Discrete((0.0, 0.5, 1.0), (0.25, 0.5, 0.25)), Bernoulli(0.4)), None, "klucb", "scalar"),
+    ]
+    for arms, bins, family, engine in rows:
+        spec = PolicySpec(family, horizon=10)
+        scenario = Scenario(BanditInstance(arms), 10, (spec,), runs=1, base_seed=0, bins=bins)
+        assert _policy_engine(scenario, spec) == engine, (arms, bins, family)
 
 
 @pytest.mark.parametrize("family", ["klucb-anytime", "klucb-switch-anytime"])
