@@ -118,7 +118,7 @@ def _expand_run_config(cfg: dict) -> dict:
         cfg = cfg["config"]
     if "preset" in cfg:
         name = cfg["preset"]
-        if name not in PRESETS:
+        if not isinstance(name, str) or name not in PRESETS:
             raise ConfigurationError(f"unknown preset {name!r}; known: {sorted(PRESETS)}")
         merged = dict(PRESETS[name])
         merged.update((k, v) for k, v in cfg.items() if k != "preset")
@@ -251,20 +251,15 @@ def cmd_sweep(args) -> int:
     if bad:
         raise ConfigurationError(f"unknown sweep config keys: {sorted(bad)}")
     preset_name = cfg.get("preset")
-    if preset_name not in SWEEP_PRESETS:
-        raise ConfigurationError(f"sweep preset must be one of {sorted(SWEEP_PRESETS)}")
+    if not isinstance(preset_name, str) or preset_name not in SWEEP_PRESETS:
+        raise ConfigurationError(f"sweep preset must be one of {sorted(SWEEP_PRESETS)}, got {preset_name!r}")
     preset = dict(SWEEP_PRESETS[preset_name])
     axis = cfg.get("axis", "x")
-    if axis not in _SWEEP_AXES:
-        raise ConfigurationError(f"sweep axis must be one of {sorted(_SWEEP_AXES)}")
-    if axis == "x":
-        values = cfg.get("values", _DEFAULT_X_GRID)
-    elif axis == "T":
-        values = cfg.get("values", [100, 1000, 10_000])
-    else:
-        values = cfg.get("values", [2, 10, 50])
-    if not values:
-        raise ConfigurationError("sweep values must be non-empty")
+    if not isinstance(axis, str) or axis not in _SWEEP_AXES:
+        raise ConfigurationError(f"sweep axis must be one of {sorted(_SWEEP_AXES)}, got {axis!r}")
+    values = cfg.get("values", {"x": _DEFAULT_X_GRID, "T": [100, 1000, 10_000], "K": [2, 10, 50]}[axis])
+    if not isinstance(values, list) or not values:
+        raise ConfigurationError(f"sweep values must be a non-empty JSON list, got {values!r}")
     if axis != "x":
         values = [positive_int(v, f"sweep value on axis {axis}") for v in values]
     fixed_k = positive_int(cfg.get("k", preset["k"]), "k")

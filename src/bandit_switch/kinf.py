@@ -148,7 +148,7 @@ def kinf_weighted(values, weights, mu: float) -> KinfResult:
     if m >= mu:
         return KinfResult(0.0, 0.0, 0, True)
 
-    atom_at_one = bool(v.max() == 1.0)
+    atom_at_one = (float(v.max()) - mu) / (1.0 - mu) >= 1.0  # z rounds to 1 also an ulp below 1
     if v.size <= _SMALL_ATOMS:
         zs = [(x - mu) / (1.0 - mu) for x in v.tolist()]
         ws = w.tolist()

@@ -6,9 +6,9 @@ distributions, so the empirical-likelihood families use ``kinf`` on any
 support; the vectorised engine runs it on a batch without them, where
 that is exact.  ``monte_carlo`` fans a scenario out over per-run seeds
 derived from ``(base_seed, policy ordinal, run ordinal)`` and aggregates
-pseudo-regret at the recorded steps.  A scenario's vector-engine policies
+pseudo-regret at the recorded steps.  A scenario's policies on each engine
 run in lock step as one batch, cut into chunks of runs; every chunk job of
-one call, batch or scalar, goes through a single worker pool.
+one call is one ``simulate`` call, and all go through one worker pool.
 
 Regret is pseudo-regret, the gap-weighted count of sub-optimal pulls
 ``sum_a gap_a * N_a(t)``; its expectation is the usual expected regret and
@@ -174,11 +174,9 @@ def run_episode(
 
 
 def _chunk_worker(args):
-    # Scalar-engine runs go one at a time: their distributions grow by an atom per pull.
+    """One chunk job: one :func:`._vector.simulate` batch, empirical on the scalar engine."""
     bandit, specs, horizon, grid, seeds, engine, bins = args
-    if engine == "vector":
-        return _vector.simulate(bandit, specs, horizon, seeds, grid)
-    return np.vstack([_vector.simulate(bandit, specs, horizon, [sd], grid, empirical=True, bins=bins) for sd in seeds])
+    return _vector.simulate(bandit, specs, horizon, seeds, grid, empirical=engine == "scalar", bins=bins)
 
 
 def _policy_engine(scenario: Scenario, spec: PolicySpec, *_) -> str:
@@ -202,19 +200,27 @@ def _policy_engine(scenario: Scenario, spec: PolicySpec, *_) -> str:
 _MIN_CHUNK_CELLS = 1024
 
 
-def _chunk_count(runs: int, width: int, parallelism: int, engine: str) -> int:
-    """Run chunks for ``runs`` runs of ``width`` cells each (for the vector
-    batch, its policies times the arms).  A vector batch pays a fixed numpy
-    call overhead per step whatever its width, so it is cut into at most
-    one chunk per worker, and only into as many as keep each chunk at least
-    ``_MIN_CHUNK_CELLS`` cells wide; a narrower batch runs whole.  Scalar
-    runs cost the same per run in any chunk, so they get a finer split, 4
-    per worker (at most one per run), to balance load."""
-    if parallelism == 1:
-        return 1
+# Most bytes of empirical atoms per chunk, which take at most (policy, run)
+# rows x T x 16: a step adds at most one float64 value and one int64 count
+# per row.  CPU time per run-step on fig1-right's arms (klucb-anytime,
+# klucb-switch-anytime 8/9 and imed, T = 2000) was 238 us at 3 rows, 118 at
+# 6 and 104-109 at 12 to 48, so 12 rows amortise a step; 32 MiB keeps 12 up
+# to T = 1.7e5, 17 times the paper's horizon, and 209 at T = 10^4.
+_ATOM_BUDGET = 32 << 20
+
+
+def _chunk_count(runs: int, policies: int, k: int, horizon: int, parallelism: int, engine: str) -> int:
+    """Run chunks, at most one per run, for ``runs`` runs of a batch of
+    ``policies`` policies on ``k`` arms.  A vector batch pays a fixed numpy
+    call overhead per step whatever its width, so it gets at most one chunk
+    per worker, and only as many as keep each at least ``_MIN_CHUNK_CELLS``
+    (policy, run, arm) cells wide.  An empirical batch gets at least one
+    per worker, and as many more as keep each one's atoms within
+    ``_ATOM_BUDGET``."""
     if engine == "vector":
-        return max(1, min(parallelism, runs * width // _MIN_CHUNK_CELLS))
-    return min(4 * parallelism, runs)
+        return max(1, min(parallelism, runs, runs * policies * k // _MIN_CHUNK_CELLS))
+    fit = max(1, _ATOM_BUDGET // (policies * horizon * 16))  # runs per chunk
+    return min(runs, max(parallelism, -(-runs // fit)))
 
 
 def monte_carlo(scenario: Scenario, parallelism: int = 1) -> RegretCurve:
@@ -222,12 +228,11 @@ def monte_carlo(scenario: Scenario, parallelism: int = 1) -> RegretCurve:
 
     Per-run seeds are pre-assigned from (base_seed, policy, run), so the
     result does not depend on ``parallelism`` or on completion order.
-    The vector-engine policies run as one batch, each chunk of it holding
-    every one of them on the same range of runs; each scalar-engine
-    policy's runs are cut on their own.  :func:`_chunk_count` sets both
-    cuts, so a narrow batch runs whole.  All jobs share one pool of at most
-    ``parallelism`` workers, batch chunks first, and each policy's rows
-    are stacked in run order.
+    The policies on each engine run as one batch, each chunk of it holding
+    every one of them on the same range of runs; :func:`_chunk_count` sets
+    both cuts.  All jobs share one pool of at most ``parallelism``
+    workers, vector chunks first, and each policy's rows are stacked in
+    run order.
     """
     parallelism = positive_int(parallelism, "parallelism")
     grid = scenario.record_grid
@@ -235,22 +240,16 @@ def monte_carlo(scenario: Scenario, parallelism: int = 1) -> RegretCurve:
     runs, k = scenario.runs, scenario.bandit.k
     specs = scenario.policies
     engines = tuple(_policy_engine(scenario, spec) for spec in specs)
-    vector = [p for p, eng in enumerate(engines) if eng == "vector"]
-    groups = [(vector, "vector")] if vector else []
-    groups += [([p], eng) for p, eng in enumerate(engines) if eng == "scalar"]
-
-    chunks = [0] * len(specs)
-    jobs, owners = [], []
-    for members, eng in groups:
-        bounds = np.linspace(0, runs, _chunk_count(runs, len(members) * k, parallelism, eng) + 1).astype(int)
+    jobs, owners, counts = [], [], {}
+    for eng in sorted(set(engines), reverse=True):  # "vector" chunks first
+        members = [p for p, e in enumerate(engines) if e == eng]
+        n = counts[eng] = _chunk_count(runs, len(members), k, scenario.horizon, parallelism, eng)
+        bounds = [runs * i // n for i in range(n + 1)]  # chunks of at most ceil(runs / n) runs
         for lo, hi in zip(bounds[:-1], bounds[1:]):
-            if hi > lo:
-                seeds = [run_seed(scenario.base_seed, p, r) for p in members for r in range(lo, hi)]
-                batch = tuple(specs[p] for p in members)
-                jobs.append((scenario.bandit, batch, scenario.horizon, grid, seeds, eng, scenario.bins))
-                owners.append((members, lo, hi))
-                for p in members:
-                    chunks[p] += 1
+            seeds = [run_seed(scenario.base_seed, p, r) for p in members for r in range(lo, hi)]
+            batch = tuple(specs[p] for p in members)
+            jobs.append((scenario.bandit, batch, scenario.horizon, grid, seeds, eng, scenario.bins))
+            owners.append((members, lo, hi))
 
     width = min(parallelism, len(jobs))
     if width > 1:
@@ -276,7 +275,7 @@ def monte_carlo(scenario: Scenario, parallelism: int = 1) -> RegretCurve:
         stderr=stderr,
         runs=runs,
         engines=engines,
-        chunks=tuple(chunks),
+        chunks=tuple(counts[e] for e in engines),
     )
 
 

@@ -102,8 +102,10 @@ def test_meta_records_engine_and_chunks_per_policy(tmp_path):
     assert (outs[1] / "regret.csv").read_bytes() == (outs[2] / "regret.csv").read_bytes()
     fanout = {p: json.loads((out / "meta.json").read_text())["fanout"] for p, out in outs.items()}
     assert fanout[1] == {"UCB": {"engine": "vector", "chunks": 1}, "KL-UCB": {"engine": "scalar", "chunks": 1}}
-    # 7 runs x 2 arms is far below a vector chunk's floor, so UCB runs whole
-    assert fanout[2] == {"UCB": {"engine": "vector", "chunks": 1}, "KL-UCB": {"engine": "scalar", "chunks": 7}}
+    # 7 runs x 2 arms is far below a vector chunk's floor, so UCB runs whole;
+    # KL-UCB's atoms, at most 7 runs x T = 40 x 16 bytes = 4,480, are far
+    # below the byte budget, so its batch is cut into one chunk per worker
+    assert fanout[2] == {"UCB": {"engine": "vector", "chunks": 1}, "KL-UCB": {"engine": "scalar", "chunks": 2}}
 
 
 def test_sweep_meta_records_fanout_per_point(tmp_path):
@@ -134,9 +136,13 @@ def test_malformed_json_exits_2(tmp_path):
     assert main(["run", str(path)]) == 2
 
 
-def test_unknown_keys_and_presets_exit_2(tmp_path):
+def test_unknown_keys_and_presets_exit_2(tmp_path, capsys):
     assert main(["run", write_config(tmp_path, dict(SMALL_CONFIG, bogus=1), "a.json")]) == 2
     assert main(["run", write_config(tmp_path, {"preset": "fig9-up"}, "b.json")]) == 2
+    for command in ("run", "sweep"):
+        capsys.readouterr()
+        assert main([command, write_config(tmp_path, {"preset": ["fig1-left"]}, "e.json")]) == 2
+        assert "preset" in capsys.readouterr().err
     missing = {k: v for k, v in SMALL_CONFIG.items() if k != "horizon"}
     assert main(["run", write_config(tmp_path, missing, "c.json")]) == 2
     bad_policy = dict(SMALL_CONFIG, policies=[{"family": "thompson"}])
@@ -199,9 +205,12 @@ def test_sweep_horizon_axis(tmp_path):
     assert all(r[0] == "T" for r in rows[1:])
 
 
-def test_sweep_rejects_bad_axis(tmp_path):
+def test_sweep_rejects_bad_axis(tmp_path, capsys):
     cfg = write_config(tmp_path, {"preset": "fig2-left", "axis": "sigma"})
     assert main(["sweep", cfg]) == 2
+    capsys.readouterr()
+    assert main(["sweep", write_config(tmp_path, {"preset": "fig2-left", "axis": ["x"]}, "list.json")]) == 2
+    assert "axis" in capsys.readouterr().err
 
 
 def test_env_var_parallelism(tmp_path, monkeypatch):
@@ -294,6 +303,9 @@ def test_non_integer_or_non_finite_fields_exit_2(tmp_path, capsys, field, cfg):
         pytest.param("horizon", {"horizon": 100.5}, id="horizon-100.5"),
         pytest.param("k", {"k": 2.5}, id="k-2.5"),
         pytest.param("axis T", {"axis": "T", "values": [100.5]}, id="axis-T-100.5"),
+        pytest.param("values", {"axis": "T", "values": 5}, id="values-5"),
+        pytest.param("values", {"values": "abc"}, id="values-abc"),
+        pytest.param("values", {"values": []}, id="values-empty"),
     ],
 )
 def test_sweep_non_integer_fields_exit_2(tmp_path, capsys, field, cfg):

@@ -30,7 +30,7 @@ from bandit_switch import (
 )
 from bandit_switch import _vector
 from bandit_switch._vector import _newton_down, bern_klucb, exp_klucb
-from bandit_switch.kinf import KinfResult
+from bandit_switch.kinf import _INDEX_TOL, _Y_SATURATED, KinfResult
 import oracles
 from oracles import bern_kl_root_y, exp_kl_index
 
@@ -429,6 +429,30 @@ def test_kinf_and_its_index_are_bounded_by_the_bernoulli_kl_of_the_mean(nu, y, d
     m, mu = nu.mean, -math.expm1(-y)
     assert kinf(nu, mu).value >= (bernoulli_kl(m, mu) if mu > m else 0.0) - 1e-12
     assert klucb_index(nu, d) <= float(bern_klucb(np.array([m]), np.array([d]))[0]) + 1e-12
+
+
+@given(nu=laws, d=st.floats(1e-6, 20.0))
+def test_klucb_index_brackets_the_root(nu, d):
+    # the index is the feasible end of a bracket closed to _INDEX_TOL in mu;
+    # the point masses at 0 and 1 return closed forms instead
+    assume(0.0 < nu.mean < 1.0)
+    u = klucb_index(nu, d)
+    # an index of 1 stands for a root past mu(_Y_SATURATED) = 1 - 1e-12
+    assert kinf(nu, min(u, -math.expm1(-_Y_SATURATED))).value <= d
+    if u < 1.0 - 1e-12:
+        assert kinf(nu, u + _INDEX_TOL).value > d
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("extra", [0, 8], ids=["small-path", "numpy-path"])
+def test_an_atom_an_ulp_below_one_caps_lambda_as_an_atom_at_one_does(extra):
+    # (x - mu)/(1 - mu) rounds to 1 for x = 1 - 2^-53 at this mu, so lambda
+    # = 1 would divide by zero
+    vals = [0.0, *np.linspace(0.01, 0.08, extra), 0.25, 1.0 - 2.0**-53]
+    nu = EmpiricalDistribution(vals, [2] + [1] * (extra + 2))
+    res = kinf(nu, 0.4706498999499004)
+    assert res.converged and 0.0 < res.lambda_star < 1.0 and math.isfinite(res.value)
+    assert kinf(nu, klucb_index(nu, 0.0625)).value <= 0.0625
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Episode execution, Monte-Carlo aggregation, reproducibility, and
 scalar/vector engine agreement."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -199,12 +200,13 @@ def test_mixed_roster_is_invariant_to_parallelism(runs):
 
 def test_chunk_counts_follow_engine_and_parallelism():
     scenario = Scenario(bandit=MIXED, horizon=20, policies=MIXED_ROSTER, runs=7, base_seed=9, bins=20)
-    # a vector batch of 14 cells is far below the floor and runs whole; 4
-    # chunks per worker (at most one per run) for scalar runs; one chunk
-    # in all at parallelism 1
+    # a vector batch of 14 cells is far below the floor and runs whole; the
+    # scalar batch's atoms, at most 1 policy x 7 runs x T = 20 x 16 bytes =
+    # 2,240, are far below the byte budget, so it is cut into one chunk per
+    # worker (at most one per run)
     assert monte_carlo(scenario, parallelism=1).chunks == (1, 1, 1)
-    assert monte_carlo(scenario, parallelism=2).chunks == (1, 7, 1)
-    assert monte_carlo(scenario, parallelism=3).chunks == (1, 7, 1)
+    assert monte_carlo(scenario, parallelism=2).chunks == (1, 2, 1)
+    assert monte_carlo(scenario, parallelism=3).chunks == (1, 3, 1)
     one_run = Scenario(bandit=MIXED, horizon=20, policies=MIXED_ROSTER, runs=1, base_seed=9, bins=20)
     assert monte_carlo(one_run, parallelism=3).chunks == (1, 1, 1)
 
@@ -519,6 +521,9 @@ def _bernoulli(k):
     return BanditInstance(tuple(Bernoulli(p) for p in np.linspace(0.8, 0.3, k)))
 
 
+# three scalar-engine policies, one lock-step batch on continuous and discrete arms
+SCALAR_ROSTER = (PolicySpec("klucb-anytime"), PolicySpec("klucb-switch-anytime"), PolicySpec("imed"))
+GAUSS_DISCRETE = BanditInstance(TRUNC_GAUSS.arms + (Discrete((0.1, 0.45, 0.9), (0.3, 0.4, 0.3)),))
 CONTINUOUS_ROSTER = (
     PolicySpec("klucb-gauss", sigma=0.2),
     PolicySpec("klucb-exp", horizon=40),
@@ -530,33 +535,64 @@ CONTINUOUS_ROSTER = (
 
 
 @pytest.mark.parametrize(
-    "bandit,roster,runs,horizon",
+    "bandit,roster,runs,horizon,bins",
     [
-        (FIG1_LEFT, _roster(60), 200, 60),
-        (BERN3, _roster(40), 1, 40),
-        (_bernoulli(10), _roster(50), 7, 50),
-        (_bernoulli(50), _roster(70), 7, 70),
-        (TRUNC_GAUSS, CONTINUOUS_ROSTER, 7, 40),
+        (FIG1_LEFT, _roster(60), 200, 60, None),
+        (BERN3, _roster(40), 1, 40, None),
+        (_bernoulli(10), _roster(50), 7, 50, None),
+        (_bernoulli(50), _roster(70), 7, 70, None),
+        (TRUNC_GAUSS, CONTINUOUS_ROSTER, 7, 40, None),
+        (GAUSS_DISCRETE, SCALAR_ROSTER, 7, 40, None),
+        (GAUSS_DISCRETE, SCALAR_ROSTER, 7, 40, 20),
     ],
-    ids=["k2-runs200", "k3-runs1", "k10-runs7", "k50-runs7", "continuous-k3-runs7"],
+    ids=["k2-runs200", "k3-runs1", "k10-runs7", "k50-runs7", "continuous-k3-runs7", "scalar-trio-exact", "scalar-trio-bins20"],
 )
-def test_roster_batch_equals_each_policy_alone(bandit, roster, runs, horizon):
+def test_roster_batch_equals_each_policy_alone(monkeypatch, bandit, roster, runs, horizon, bins):
     # the lock-step batch keeps every (policy, run) bit of a one-policy
-    # simulation, whatever the roster around it and the parallelism
-    scenario = Scenario(bandit=bandit, horizon=horizon, policies=roster, runs=runs, base_seed=303)
+    # simulation, whatever the roster around it, the parallelism and the cut
+    from bandit_switch import simulator
+
+    scenario = Scenario(bandit=bandit, horizon=horizon, policies=roster, runs=runs, base_seed=303, bins=bins)
     grid = scenario.record_grid
     curves = [monte_carlo(scenario, parallelism=p) for p in (1, 2, 3)]
+    scalar = curves[0].engines.count("scalar")
+    if scalar:
+        # a budget of two runs of the scalar batch cuts its 7 runs into
+        # ceil(7 / 2) = 4 chunks, more than the workers
+        monkeypatch.setattr(simulator, "_ATOM_BUDGET", scalar * 2 * horizon * 16)
+        cut = [monte_carlo(scenario, parallelism=p) for p in (1, 2, 3)]
+        assert all(n == 4 for c in cut for n, e in zip(c.chunks, c.engines) if e == "scalar")
+        curves += cut
     for p_idx, spec in enumerate(roster):
         seeds = [run_seed(303, p_idx, r) for r in range(runs)]
         if curves[0].engines[p_idx] == "vector":
             rows = _vector.simulate(bandit, spec, horizon, seeds, grid)
         else:
-            rows = np.vstack([run_episode(bandit, spec, horizon, sd).trajectory[np.asarray(grid) - 1] for sd in seeds])
+            rows = np.vstack([run_episode(bandit, spec, horizon, sd, bins).trajectory[np.asarray(grid) - 1] for sd in seeds])
         stderr = rows.std(axis=0, ddof=1) / math.sqrt(runs) if runs > 1 else np.zeros(len(grid))
         for curve in curves:
             assert curve.mean[p_idx].tobytes() == rows.mean(axis=0).tobytes(), spec.name
             assert curve.stderr[p_idx].tobytes() == stderr.tobytes(), spec.name
-    assert ("scalar" in curves[0].engines) == (roster is CONTINUOUS_ROSTER)
+    assert scalar == {CONTINUOUS_ROSTER: 1, SCALAR_ROSTER: 3}.get(roster, 0)
+
+
+@pytest.mark.parametrize("budget", [None, 5 * 3 * 40 * 16], ids=["default-budget", "five-rows-at-T40"])
+def test_empirical_chunks_fit_the_atom_budget_and_cover_the_workers(monkeypatch, budget):
+    # monte_carlo gives chunk i of n the runs [runs i // n, runs (i + 1) // n),
+    # at most ceil(runs / n) of them, so policies * ceil(runs / n) rows
+    from bandit_switch import simulator
+
+    if budget is not None:
+        monkeypatch.setattr(simulator, "_ATOM_BUDGET", budget)
+    budget = simulator._ATOM_BUDGET
+    for runs, policies, horizon, parallelism in itertools.product((1, 2, 7, 64, 1000), (1, 3), (40, 10_000, 10**6), (1, 2, 3)):
+        n = simulator._chunk_count(runs, policies, 4, horizon, parallelism, "scalar")
+        rows = policies * -(-runs // n)
+        assert min(parallelism, runs) <= n <= runs
+        # every chunk within the budget, unless one run of the batch alone exceeds it
+        assert rows <= max(policies, budget // (horizon * 16)), (runs, policies, horizon, parallelism)
+        # and no more chunks than the budget and the workers ask for
+        assert n == runs or n == parallelism or policies * -(-runs // (n - 1)) > budget // (horizon * 16)
 
 
 def test_simulate_rejects_seeds_that_do_not_split_into_equal_blocks():
