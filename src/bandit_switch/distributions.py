@@ -82,7 +82,9 @@ class EmpiricalDistribution:
     """Multiset of observations in [0, 1], stored as sorted weighted atoms.
 
     The canonical form (strictly increasing atom values, positive integer
-    counts) makes the representation independent of observation order.
+    counts) makes ``values``, ``counts``, ``weights`` and ``==`` independent
+    of observation order.  ``mean`` divides a running sum of the
+    observations, so its last bits may depend on the order.
 
     Parameters
     ----------

@@ -101,13 +101,14 @@ def _z(values: np.ndarray, mu: float) -> np.ndarray:
 def h_value(nu: EmpiricalDistribution, mu: float, lam: float) -> float:
     """The dual objective H(lam) = E[ln(1 - lam (X - mu)/(1 - mu))].
 
-    Finite for lam < 1; equals -inf at lam = 1 iff ``nu`` has an atom at 1.
+    Finite for lam < 1; equals -inf at lam = 1 iff ``nu`` has an atom whose
+    z = (x - mu)/(1 - mu) rounds to 1: an atom at 1, or one an ulp below.
     """
     _check_mu(mu)
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lambda must lie in [0, 1]")
     z = _z(nu.values, mu)
-    if lam == 1.0 and nu.values.size and nu.values[-1] == 1.0:
+    if lam == 1.0 and z.size and z[-1] >= 1.0:
         return -math.inf
     return float(np.dot(nu.weights, np.log1p(-lam * z)))
 
@@ -115,14 +116,14 @@ def h_value(nu: EmpiricalDistribution, mu: float, lam: float) -> float:
 def h_derivative(nu: EmpiricalDistribution, mu: float, lam: float) -> float:
     """Closed-form H'(lam) = -E[ z / (1 - lam z) ] with z = (X-mu)/(1-mu).
 
-    At lam = 1 with an atom at 1 the derivative diverges; a -inf sentinel
-    is returned.
+    At lam = 1 with an atom at 1 (z rounds to 1, as in ``h_value``) the
+    derivative diverges; a -inf sentinel is returned.
     """
     _check_mu(mu)
     if not 0.0 <= lam <= 1.0:
         raise ValueError("lambda must lie in [0, 1]")
     z = _z(nu.values, mu)
-    if lam == 1.0 and nu.values.size and nu.values[-1] == 1.0:
+    if lam == 1.0 and z.size and z[-1] >= 1.0:
         return -math.inf
     return -float(np.dot(nu.weights, z / (1.0 - lam * z)))
 
@@ -217,10 +218,11 @@ def kinf_witness(nu: EmpiricalDistribution, mu: float, result: KinfResult) -> Ki
         raise ValueError("witness requires a converged solver result")
     lam = result.lambda_star
     v = nu.values
-    if lam == 1.0 and v.size and v[-1] == 1.0:
+    z = _z(v, mu)
+    if lam == 1.0 and z.size and z[-1] >= 1.0:
         raise ValueError("inconsistent result: lambda* = 1 with an atom at 1")
     w = nu.weights
-    dens = 1.0 - lam * _z(v, mu)
+    dens = 1.0 - lam * z
     base = w / dens
     mass_at_one = 1.0 - float(base.sum())
     if mass_at_one < 0.0:

@@ -8,7 +8,8 @@ that is exact.  ``monte_carlo`` fans a scenario out over per-run seeds
 derived from ``(base_seed, policy ordinal, run ordinal)`` and aggregates
 pseudo-regret at the recorded steps.  A scenario's policies on each engine
 run in lock step as one batch, cut into chunks of runs; every chunk job of
-one call is one ``simulate`` call, and all go through one worker pool.
+one call is one ``simulate`` call, and all go through :func:`_map_jobs`,
+which also serves the grid oracle and starts a pool only at width above 1.
 
 Regret is pseudo-regret, the gap-weighted count of sub-optimal pulls
 ``sum_a gap_a * N_a(t)``; its expectation is the usual expected regret and
@@ -18,7 +19,6 @@ it has lower Monte-Carlo variance than realised-reward regret.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -173,6 +173,17 @@ def run_episode(
     return EpisodeResult(trajectory=regrets[0], pulls=np.bincount(actions[0], minlength=k), actions=actions[0])
 
 
+def _map_jobs(fn, jobs, width: int) -> list:
+    """``[fn(job) for job in jobs]``: in the calling process at ``width`` 1,
+    else over one pool of ``width`` worker processes.  ``concurrent.futures``
+    and ``multiprocessing`` (about 21 ms of imports) load only then."""
+    if width <= 1:
+        return [fn(job) for job in jobs]
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=width) as pool:
+        return list(pool.map(fn, jobs))
+
+
 def _chunk_worker(args):
     """One chunk job: one :func:`._vector.simulate` batch, empirical on the scalar engine."""
     bandit, specs, horizon, grid, seeds, engine, bins = args
@@ -230,9 +241,9 @@ def monte_carlo(scenario: Scenario, parallelism: int = 1) -> RegretCurve:
     result does not depend on ``parallelism`` or on completion order.
     The policies on each engine run as one batch, each chunk of it holding
     every one of them on the same range of runs; :func:`_chunk_count` sets
-    both cuts.  All jobs share one pool of at most ``parallelism``
-    workers, vector chunks first, and each policy's rows are stacked in
-    run order.
+    both cuts.  All jobs share one pool of at most ``parallelism`` workers,
+    vector chunks first, started only for two jobs or more; each policy's
+    rows are stacked in run order.
     """
     parallelism = positive_int(parallelism, "parallelism")
     grid = scenario.record_grid
@@ -251,12 +262,7 @@ def monte_carlo(scenario: Scenario, parallelism: int = 1) -> RegretCurve:
             jobs.append((scenario.bandit, batch, scenario.horizon, grid, seeds, eng, scenario.bins))
             owners.append((members, lo, hi))
 
-    width = min(parallelism, len(jobs))
-    if width > 1:
-        with ProcessPoolExecutor(max_workers=width) as pool:
-            parts = list(pool.map(_chunk_worker, jobs))
-    else:
-        parts = [_chunk_worker(j) for j in jobs]
+    parts = _map_jobs(_chunk_worker, jobs, min(parallelism, len(jobs)))
 
     regrets = np.empty((len(specs), runs, len(grid)))
     for (members, lo, hi), part in zip(owners, parts):

@@ -21,7 +21,7 @@ from ._rng import CH_REWARD, mix64_array, unit_uniform_array
 from .distributions import BanditInstance, Bernoulli, EmpiricalDistribution
 from .kinf import bernoulli_kl, kinf, kinf_weighted, klucb_index
 from .policies import PolicySpec
-from .simulator import Scenario, _sorted_unique, gap_profile, monte_carlo, positive_int, run_seed
+from .simulator import Scenario, _map_jobs, _sorted_unique, gap_profile, monte_carlo, positive_int, run_seed
 from . import _vector
 
 __all__ = [
@@ -211,20 +211,30 @@ def _interval_bounds(z, w, first, last):
     return np.log1p(ends * -z) @ w
 
 
-def _block_bounds(z, w, lam_grid, rows: int):
-    """Upper bound of F on each block of ``rows`` consecutive grid points:
-    the largest ``_interval_bounds`` of the block's 16 sub-blocks."""
-    starts = np.arange(0, lam_grid.size, rows)
+def _grid_points(idx, n: int) -> np.ndarray:
+    """The points ``idx`` (integers) of ``np.linspace(0, 1, n)``, with its
+    bits, without the grid: i * (1 / (n - 1)), and 1 at the last one."""
+    lam = idx * (1.0 / max(n - 1, 1))  # n = 1: the one point 0
+    if n > 1:
+        lam[idx == n - 1] = 1.0
+    return lam
+
+
+def _block_bounds(z, w, n: int, rows: int):
+    """Upper bound of F on each block of ``rows`` consecutive points of the
+    ``n``-point grid: the largest ``_interval_bounds`` of the block's 16
+    sub-blocks."""
+    starts = np.arange(0, n, rows)
     sub = -(-rows // _ORACLE_SUB_BLOCKS)
-    first = np.minimum(starts[:, None] + np.arange(0, rows, sub), lam_grid.size - 1)
-    last = np.minimum(first + sub, np.minimum(starts + rows, lam_grid.size)[:, None]) - 1
-    return _interval_bounds(z, w, lam_grid[first], lam_grid[last]).max(axis=1)
+    first = np.minimum(starts[:, None] + np.arange(0, rows, sub), n - 1)
+    last = np.minimum(first + sub, np.minimum(starts + rows, n)[:, None]) - 1
+    return _interval_bounds(z, w, _grid_points(first, n), _grid_points(last, n)).max(axis=1)
 
 
-def _grid_max(dist, mu: float, lam_grid) -> tuple:
-    """(max of F over ``lam_grid``, blocks evaluated, blocks) for the K_inf
-    dual objective F(lam) = sum_j w_j log1p(-lam z_j), z_j = (x_j - mu) /
-    (1 - mu).
+def _grid_max(dist, mu: float, n: int) -> tuple:
+    """(max of F over the ``n``-point grid ``np.linspace(0, 1, n)``, blocks
+    evaluated, blocks) for the K_inf dual objective F(lam) = sum_j w_j
+    log1p(-lam z_j), z_j = (x_j - mu) / (1 - mu).
 
     The grid is cut into 1 MiB blocks, each bounded by ``_block_bounds``.
     Blocks are evaluated in order of decreasing bound, and the scan stops at
@@ -259,11 +269,11 @@ def _grid_max(dist, mu: float, lam_grid) -> tuple:
     best = -math.inf
     evaluated = 0
     with np.errstate(divide="ignore"):
-        bounds = _block_bounds(z, w, lam_grid, rows)
+        bounds = _block_bounds(z, w, n, rows)
         for b in np.argsort(-bounds, kind="stable"):
             if bounds[b] < best - _ORACLE_MARGIN:
                 break
-            lam = lam_grid[b * rows : (b + 1) * rows]
+            lam = _grid_points(np.arange(b * rows, min((b + 1) * rows, n)), n)
             view = buf[: lam.size]
             np.multiply.outer(lam, -z, out=view)
             np.log1p(view, out=view)
@@ -277,28 +287,23 @@ def _grid_oracle_chunk(args):
     jobs of one worker; equal gaps go to the larger label, so the overall
     maximum does not depend on how the jobs were split."""
     jobs, grid_points = args
-    lam_grid = np.linspace(0.0, 1.0, grid_points)
     worst = (0.0, "")
     evaluated = total = 0
     for label, values, counts, mu in jobs:
         dist = EmpiricalDistribution(values, counts)
-        best, done, blocks = _grid_max(dist, mu, lam_grid)
+        best, done, blocks = _grid_max(dist, mu, grid_points)
         worst = max(worst, (abs(kinf(dist, mu).value - best), label))
         evaluated += done
         total += blocks
     return worst, evaluated, total
 
 
-def _balanced_splits(jobs, parts: int) -> list:
-    """``jobs`` cut into at most ``parts`` lists of about equal atom count:
-    largest first, each job to the currently lightest list."""
-    splits = [[] for _ in range(min(parts, len(jobs)))]
-    loads = [0] * len(splits)
-    for job in sorted(jobs, key=lambda job: len(job[1]), reverse=True):
-        i = loads.index(min(loads))
-        splits[i].append(job)
-        loads[i] += len(job[1])
-    return splits
+# Fewest laws for which the grid oracle starts a worker pool.  Median wall
+# time of the check at parallelism 2 in fresh interpreters, in-process / a
+# 2-worker pool (7 interleaved pairs, 2 vCPUs): 60 / 111 ms at 16 laws,
+# 153 / 149 at 48, 163 / 154 at 64, 284 / 235 at 96, the pool taking more
+# CPU up to 128; the break-even, 48-64 laws, rounded up to a power of two.
+_MIN_POOLED_LAWS = 64
 
 
 def _oracle_jobs(n_dists: int, seed: int) -> list:
@@ -321,19 +326,14 @@ def kinf_grid_oracle_check(
     parallelism: int = 2,
 ) -> BoundCheckReport:
     """Newton solver versus brute-force maximisation of the dual objective
-    on a uniform lambda grid.  With ``parallelism`` > 1 the jobs run in one
-    worker pool, one atom-balanced split per worker; the result does not
-    depend on the split."""
+    on a uniform lambda grid.  Below ``_MIN_POOLED_LAWS`` laws, or at
+    ``parallelism`` 1, the jobs run in the calling process, else in one
+    worker pool, every ``parallelism``-th job to the same worker; the
+    result does not depend on the split."""
     parallelism = positive_int(parallelism, "parallelism")
     jobs = _oracle_jobs(n_dists, seed)
-    if parallelism > 1 and len(jobs) > 8:
-        from concurrent.futures import ProcessPoolExecutor
-
-        splits = [(split, grid_points) for split in _balanced_splits(jobs, parallelism)]
-        with ProcessPoolExecutor(max_workers=len(splits)) as pool:
-            results = list(pool.map(_grid_oracle_chunk, splits))
-    else:
-        results = [_grid_oracle_chunk((jobs, grid_points))]
+    width = min(parallelism, len(jobs)) if len(jobs) >= _MIN_POOLED_LAWS else 1
+    results = _map_jobs(_grid_oracle_chunk, [(jobs[i::width], grid_points) for i in range(width)], width)
     worsts, evaluated, totals = zip(*results)
     worst, worst_label = max(worsts)
     evaluated, total = sum(evaluated), sum(totals)

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from bandit_switch import (
     BanditInstance,
@@ -60,6 +61,24 @@ def test_observe_order_insensitive():
     a = EmpiricalDistribution.from_observations(xs)
     b = EmpiricalDistribution.from_observations(rng.permutation(xs))
     assert a == b
+
+
+@given(
+    orders=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40).flatmap(
+        lambda xs: st.tuples(st.just(xs), st.permutations(xs))
+    ),
+    bins=st.none() | st.integers(1, 50),
+)
+@example(orders=([0.1, 0.2, 0.3], [0.3, 0.2, 0.1]), bins=None)  # means 0x1.999999999999bp-3 and ...99p-3
+def test_only_the_mean_depends_on_observation_order(orders, bins):
+    a, b = (EmpiricalDistribution.from_observations(xs, bins=bins) for xs in orders)
+    assert a == b
+    for attr in ("values", "counts", "weights"):
+        assert getattr(a, attr).tobytes() == getattr(b, attr).tobytes()
+    # each mean is a running sum of n terms in [0, 1], within (n + 1) ulp of
+    # the exact mean (relative), so two orders are within twice that
+    n = len(orders[0])
+    assert abs(a.mean - b.mean) <= 2 * (n + 2) * 2.0**-53 * max(a.mean, b.mean)
 
 
 def test_mean_cache_tracks_exact_mean():

@@ -1,6 +1,7 @@
 """Source hygiene of the package: no module imports a name it never uses,
 every private module-level name is referenced somewhere in it, and
-neither importing it nor its Bernoulli paths load scipy or numpy.ma."""
+neither importing it nor its Bernoulli and small verify paths load scipy,
+numpy.ma or the worker-pool modules."""
 
 import ast
 import os
@@ -67,20 +68,29 @@ def test_every_private_module_level_name_is_referenced():
 
 
 # Imports the package, builds the fig1-left scenario and runs ``verify
-# ordering --runs 2``, then prints which of the slow imports are loaded.
+# ordering --runs 2`` and ``verify kinf-oracle --runs 2 --parallelism 2``,
+# printing after each step which of the slow imports are loaded.
 _SLOW_IMPORTS_CODE = """
 import sys, tempfile
+def loaded():
+    print(sorted(m for m in ("scipy", "numpy.ma", "concurrent.futures", "multiprocessing") if m in sys.modules))
 import bandit_switch, bandit_switch.cli as cli
+loaded()
 cli._scenario_from_config(cli._expand_run_config({"preset": "fig1-left"}))
+loaded()
 with tempfile.TemporaryDirectory() as out_dir:
     assert cli.main(["verify", "ordering", "--runs", "2", "--out-dir", out_dir]) == 0
-print(sorted(m for m in ("scipy", "numpy.ma") if m in sys.modules))
+    loaded()
+    assert cli.main(["verify", "kinf-oracle", "--runs", "2", "--parallelism", "2", "--out-dir", out_dir]) == 0
+    loaded()
 """
 
 
-def test_import_fig1_left_build_and_verify_ordering_leave_scipy_and_numpy_ma_unloaded():
+def test_import_fig1_left_build_and_verify_leave_the_slow_imports_unloaded():
     # only a truncated-Gaussian draw needs scipy, which takes about 0.3 s to
-    # import; np.unique imports numpy.ma, about 20 ms
+    # import; np.unique imports numpy.ma, about 20 ms; and only a started
+    # worker pool needs concurrent.futures and multiprocessing, about 21 ms
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH")))))
     out = subprocess.run([sys.executable, "-c", _SLOW_IMPORTS_CODE], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.splitlines()[-1] == "[]"
+    loaded = [line for line in out.stdout.splitlines() if line.startswith("[")]
+    assert loaded == ["[]"] * 4

@@ -455,6 +455,31 @@ def test_an_atom_an_ulp_below_one_caps_lambda_as_an_atom_at_one_does(extra):
     assert kinf(nu, klucb_index(nu, 0.0625)).value <= 0.0625
 
 
+@given(nu=laws, y=ys)
+def test_witness_certifies_the_dual_value(nu, y):
+    # primal-dual certificate: the witness is a law of mean >= mu at
+    # divergence KL(nu || witness) equal to the dual value
+    mu = -math.expm1(-y)
+    res = kinf(nu, mu)
+    assume(res.converged and res.value > 0.0)
+    w = kinf_witness(nu, mu, res)
+    assert sum(x * m for x, m in w.base_atoms) + w.mass_at_one >= mu - 1e-10
+    assert abs(sum(m for _, m in w.base_atoms) + w.mass_at_one - 1.0) <= 1e-10
+    assert abs(witness_kl(nu, w) - res.value) <= 1e-9
+
+
+@pytest.mark.filterwarnings("error")
+def test_h_at_lambda_one_is_minus_inf_for_an_atom_an_ulp_below_one():
+    # z = (x - mu)/(1 - mu) rounds to 1 for x = 1 - 2^-53 at this mu, so
+    # log1p(-1) and 1 / (1 - 1) would divide by zero
+    nu = EmpiricalDistribution([0.0, 0.25, 1.0 - 2.0**-53], [2, 1, 1])
+    mu = 0.4706498999499004
+    assert h_value(nu, mu, 1.0) == -math.inf
+    assert h_derivative(nu, mu, 1.0) == -math.inf
+    with pytest.raises(ValueError, match="atom at 1"):
+        kinf_witness(nu, mu, KinfResult(value=0.1, lambda_star=1.0, iterations=1, converged=True))
+
+
 # ---------------------------------------------------------------------------
 # parametric divergences
 

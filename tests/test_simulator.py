@@ -234,17 +234,7 @@ def test_vector_chunks_stay_at_least_the_floor_wide(k, runs, short, chunks):
 
 
 @pytest.mark.parametrize("parallelism,pools", [(2, 1), (1, 0)])
-def test_one_pool_per_call(monkeypatch, parallelism, pools):
-    from bandit_switch import simulator
-
-    opened = []
-
-    class CountingPool(simulator.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            opened.append(kwargs.get("max_workers"))
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(simulator, "ProcessPoolExecutor", CountingPool)
+def test_one_pool_per_call(opened_pools, parallelism, pools):
     specs = (
         PolicySpec("ucb"),
         PolicySpec("moss-anytime"),
@@ -255,8 +245,8 @@ def test_one_pool_per_call(monkeypatch, parallelism, pools):
     # 5 policies x 140 runs x 3 arms: 2,100 cells, two floor-wide batch chunks
     scenario = Scenario(bandit=BERN3, horizon=50, policies=specs, runs=140, base_seed=4)
     curve = monte_carlo(scenario, parallelism=parallelism)
-    assert len(opened) == pools
-    assert all(width <= parallelism for width in opened)
+    assert len(opened_pools) == pools
+    assert all(width <= parallelism for width in opened_pools)
     assert curve.engines == ("vector",) * 5
     assert curve.chunks == (parallelism,) * 5
 

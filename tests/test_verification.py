@@ -14,9 +14,11 @@ from bandit_switch.simulator import run_seed
 from bandit_switch.verification import (
     BOUND_IDS,
     _binary_empirical,
+    _MIN_POOLED_LAWS,
     _block_bounds,
     _checkpoint_states,
     _grid_max,
+    _grid_points,
     _interval_bounds,
     _oracle_jobs,
     SUITES,
@@ -257,13 +259,39 @@ def test_grid_oracle_rejects_bad_parallelism(bad):
         kinf_grid_oracle_check(n_dists=3, grid_points=1000, parallelism=bad)
 
 
-def test_grid_oracle_does_not_depend_on_parallelism():
-    serial = kinf_grid_oracle_check(n_dists=12, grid_points=100_000, parallelism=1)
-    pooled = kinf_grid_oracle_check(n_dists=12, grid_points=100_000, parallelism=2)
-    assert serial.ok
-    assert serial.values == pooled.values
-    assert serial.points[0].label == pooled.points[0].label
-    assert serial.notes == pooled.notes
+def test_grid_oracle_does_not_depend_on_parallelism(opened_pools):
+    # one law below the pool threshold, every job runs in the calling
+    # process; at it, parallelism 2 starts one pool of 2 workers
+    for n_dists, pools in ((_MIN_POOLED_LAWS - 1, []), (_MIN_POOLED_LAWS, [2])):
+        opened_pools.clear()
+        serial = kinf_grid_oracle_check(n_dists=n_dists, grid_points=100_000, parallelism=1)
+        pooled = kinf_grid_oracle_check(n_dists=n_dists, grid_points=100_000, parallelism=2)
+        assert opened_pools == pools
+        assert serial.ok
+        assert serial.values == pooled.values
+        assert serial.points[0].label == pooled.points[0].label
+        assert serial.notes == pooled.notes
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 1000, 131_073, 1_000_000])
+def test_grid_points_equal_linspace_bit_for_bit(n):
+    want = np.linspace(0.0, 1.0, n)
+    assert _grid_points(np.arange(n), n).tobytes() == want.tobytes()
+    # the first, a middle and the last (ragged) block of row counts that
+    # divide no grid size here
+    for rows in (7, 6_553, 65_536):
+        for lo in {0, rows * (n // (2 * rows)), rows * ((n - 1) // rows)}:
+            assert _grid_points(np.arange(lo, min(lo + rows, n)), n).tobytes() == want[lo : lo + rows].tobytes()
+    # a 2-d pick of indices, as the block bounds take their sub-block ends
+    idx = np.random.default_rng(n).integers(0, n, size=(5, 16))
+    idx[-1, -1] = n - 1
+    assert _grid_points(idx, n).tobytes() == want[idx].tobytes()
+
+
+def test_grid_oracle_of_one_point_takes_lambda_0():
+    report = kinf_grid_oracle_check(n_dists=3, grid_points=1, parallelism=1)
+    assert report.values["worst_gap"] > 0.0 and report.values["blocks_total"] == 3
+    assert report.notes == "1-point uniform lambda grid; 3 of 3 blocks evaluated"
 
 
 def test_grid_oracle_reports_the_blocks_it_evaluated():
@@ -284,7 +312,7 @@ def test_grid_oracle_maximum_equals_the_exhaustive_scan_on_the_c1_laws():
     differ = [
         i
         for i, (dist, mu) in enumerate(_oracle_laws(500))
-        if _grid_max(dist, mu, lam_grid)[0].hex() != grid_max(dist, mu, lam_grid).hex()
+        if _grid_max(dist, mu, lam_grid.size)[0].hex() != grid_max(dist, mu, lam_grid).hex()
     ]
     assert differ == []
 
@@ -314,7 +342,7 @@ _EDGE_GRIDS = (100_000, 131_073, 1_000_000)
 )
 def test_grid_oracle_maximum_equals_the_exhaustive_scan(dist, mu, grid_points):
     lam_grid = np.linspace(0.0, 1.0, grid_points)
-    best, evaluated, total = _grid_max(dist, mu, lam_grid)
+    best, evaluated, total = _grid_max(dist, mu, grid_points)
     assert best.hex() == grid_max(dist, mu, lam_grid).hex()
     assert 1 <= evaluated <= total
 
@@ -341,21 +369,12 @@ def test_grid_values_are_bounded_by_the_interval_end_bound(dist, mu, grid_points
 
 
 @pytest.mark.parametrize("parallelism,pools", [(2, 1), (1, 0)])
-def test_kinf_oracle_suite_passes_parallelism(monkeypatch, parallelism, pools):
-    import concurrent.futures
-
-    opened = []
-
-    class CountingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            opened.append(kwargs.get("max_workers"))
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
-    reports = run_suite("kinf-oracle", runs=12, parallelism=parallelism)
+def test_kinf_oracle_suite_passes_parallelism(opened_pools, parallelism, pools):
+    # at the pool threshold's law count, parallelism 2 starts one pool
+    reports = run_suite("kinf-oracle", runs=_MIN_POOLED_LAWS, parallelism=parallelism)
     assert all(report.ok for report in reports)
-    assert len(opened) == pools
-    assert all(width <= parallelism for width in opened)
+    assert len(opened_pools) == pools
+    assert all(width <= parallelism for width in opened_pools)
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +416,6 @@ def test_grid_values_are_bounded_by_their_block_bound(dist, mu, grid_points, row
     w = dist.weights
     with np.errstate(divide="ignore"):
         values = np.log1p(np.multiply.outer(lam, -z)) @ w
-        bounds = _block_bounds(z, w, lam, rows)
+        bounds = _block_bounds(z, w, grid_points, rows)
     assert bounds.size == -(-grid_points // rows)
     assert np.all(values <= np.repeat(bounds, rows)[:grid_points] + 1e-12)
