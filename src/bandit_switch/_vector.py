@@ -18,7 +18,9 @@ chosen by the input.  Given each (run, arm) cell's empirical distribution
 it, for any support.  Without them every arm must be supported on {0, 1},
 so that the empirical distribution reduces to its mean and the divergence
 to the Bernoulli KL; :func:`.simulator._policy_engine` decides which
-policies run without them.
+policies run without them.  A cell whose distribution lies on {0, 1} takes
+the Bernoulli formulas on either branch, so the two branches give the same
+bits on such arms.
 """
 
 from __future__ import annotations
@@ -209,16 +211,33 @@ def _tie_break(scores: np.ndarray, u) -> np.ndarray:
     return action
 
 
-def _kl_upper(out: np.ndarray, cells: np.ndarray, p: np.ndarray, d: np.ndarray, dists, pending: list) -> None:
+def _binary_means(laws) -> np.ndarray:
+    """Each law's mean where it lies on {0, 1}, read in O(1) off its sorted
+    atoms (at most two, the first and last in {0, 1}), else NaN.  There the
+    divergence is the Bernoulli KL on the law's mean, which under ``bins``
+    may differ from the cell's exact s/n."""
+    binary = (len(nu) <= 2 and nu.values[0] in (0.0, 1.0) and nu.values[-1] in (0.0, 1.0) for nu in laws)
+    return np.array([nu.mean if b else math.nan for nu, b in zip(laws, binary)])
+
+
+def _kl_upper(out: np.ndarray, cells: np.ndarray, p: np.ndarray, d: np.ndarray, dists, pending: list | None) -> None:
     """sup { mu : divergence <= d } at the flat ``cells`` of ``out``, with
-    ``p`` and ``d`` the means and budgets of those cells: ``klucb_index`` on
-    each cell's empirical distribution ``dists[c]``, put at once, when
-    ``dists`` are given; else the Bernoulli KL on the mean, queued on
-    ``pending`` as ``(out, cells, p, d)`` for :func:`_invert_pending`."""
-    if dists is None:
+    ``p`` and ``d`` the means and budgets of those cells, by the Bernoulli
+    KL on the mean: queued on ``pending`` as ``(out, cells, p, d)`` for
+    :func:`_invert_pending`, or inverted at once when no list is given.
+    Given each cell's empirical distribution ``dists[c]``, only the cells
+    whose law lies on {0, 1} take that route, on their law's mean; every
+    other cell takes ``klucb_index`` on its law, put at once."""
+    if dists is not None:
+        laws = [dists[c] for c in cells.tolist()]
+        m = _binary_means(laws)
+        rest = np.isnan(m)
+        out.put(cells[rest], [klucb_index(nu, x) for nu, x, r in zip(laws, d.tolist(), rest.tolist()) if r])
+        cells, p, d = cells[~rest], m[~rest], d[~rest]
+    if pending is None:
+        out.put(cells, bern_klucb(p, d))
+    elif cells.size:
         pending.append((out, cells, p, d))
-    else:
-        out.put(cells, [klucb_index(dists[c], x) for c, x in zip(cells.tolist(), d.tolist())])
 
 
 def _invert_pending(pending: list) -> None:
@@ -241,9 +260,11 @@ def _indices(ctx: _Ctx, n: np.ndarray, s: np.ndarray, t: int, dists=None, pendin
 
     ``dists``, the empirical distribution of every cell in the flat
     arm-major order ``arm * runs + run``, selects the ``kinf`` branch of
-    the empirical-likelihood families; without it they take the Bernoulli
-    branch, exact for arms supported on {0, 1}, whose klucb cells are left
-    unfilled and queued on the list ``pending`` (see :func:`_kl_upper`).
+    the empirical-likelihood families, which its cells on {0, 1} skip for
+    the Bernoulli formulas on their law's mean; without it they take the
+    Bernoulli branch, exact for arms supported on {0, 1}.  Bernoulli klucb
+    cells are left unfilled and queued on the list ``pending`` when one is
+    given, else filled at once (see :func:`_kl_upper`).
     """
     spec = ctx.spec
     fam = spec.family
@@ -270,7 +291,11 @@ def _indices(ctx: _Ctx, n: np.ndarray, s: np.ndarray, t: int, dists=None, pendin
         else:
             kl = np.zeros_like(mean)
             mu = np.broadcast_to(pmax, mean.shape).T
-            for c in np.flatnonzero(mean.T < mu):
+            below = np.flatnonzero(mean.T < mu)
+            m, mu_b = _binary_means([dists[c] for c in below.tolist()]), mu.flat[below]
+            binary = m < mu_b  # false at NaN (not on {0, 1}) and where a binned law's mean is not below
+            kl.T.flat[below[binary]] = _bern_kl(m[binary], mu_b[binary])
+            for c in below[~binary].tolist():
                 kl.T.flat[c] = kinf(dists[c], float(mu.flat[c])).value
         return -(n * kl + np.log(n))
     if fam in ("klucb", "klucb-anytime"):  # every cell on the KL branch

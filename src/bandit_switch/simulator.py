@@ -193,11 +193,11 @@ def _chunk_worker(args):
 def _policy_engine(scenario: Scenario, spec: PolicySpec, *_) -> str:
     """The engine that simulates ``spec`` on ``scenario``: the vectorised
     one, which keeps no empirical distributions, unless ``spec`` reads them
-    and they do not reduce to their means, because an arm is not supported
-    on {0, 1} or ``bins`` rounds their atoms; else the scalar one.  Further
-    positional arguments are ignored (the replay check in ``bench/checks.py``
-    still passes one)."""
-    binary = scenario.bins is None and all(arm.support_binary for arm in scenario.bandit.arms)
+    and an arm is not supported on {0, 1}; else the scalar one.  On {0, 1}
+    the distributions reduce to their means, and ``bins`` leaves 0 and 1 as
+    they are.  Further positional arguments are ignored (the replay check in
+    ``bench/checks.py`` still passes one)."""
+    binary = all(arm.support_binary for arm in scenario.bandit.arms)
     return "scalar" if spec.needs_distributions and not binary else "vector"
 
 

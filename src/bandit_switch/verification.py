@@ -595,7 +595,8 @@ def index_ordering_check(
     States are produced by anytime-switch runs, simulated vectorised and
     sampled at log-spaced steps; their checkpoint states are rebuilt from
     the action log by ``_checkpoint_states``, and each index is evaluated
-    on all runs at once.
+    on all runs at once.  Every checkpoint law lies on {0, 1}, so the klucb
+    indices are the Bernoulli ones (``_vector.bern_klucb``), with no solve.
     """
     bandit = BanditInstance((Bernoulli(0.8), Bernoulli(0.6), Bernoulli(0.4)))
     k = bandit.k

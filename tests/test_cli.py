@@ -60,6 +60,16 @@ def test_preset_and_sweep_csv_bits_match_the_golden_digests(tmp_path):
         assert sha256(tmp_path / key / "regret.csv") == GOLDEN[key]
 
 
+def test_binned_bernoulli_preset_runs_on_the_vector_engine_with_the_golden_bits(tmp_path):
+    # bins leave 0 and 1 as they are, so every fig1-left policy runs on the
+    # vector engine and writes the unbinned preset's bits
+    cfg = write_config(tmp_path, {"preset": "fig1-left", "runs": 64, "horizon": 500, "bins": 10}, "run.json")
+    assert main(["run", cfg, "--out-dir", str(tmp_path / "run"), "--parallelism", "1"]) == 0
+    assert sha256(tmp_path / "run" / "regret.csv") == GOLDEN["fig1_left_regret_csv_sha256"]
+    fanout = json.loads((tmp_path / "run" / "meta.json").read_text())["fanout"]
+    assert {entry["engine"] for entry in fanout.values()} == {"vector"}
+
+
 def test_run_writes_expected_csv(tmp_path):
     cfg = write_config(tmp_path, SMALL_CONFIG)
     out = tmp_path / "out"

@@ -23,6 +23,7 @@ from bandit_switch import (
     update,
 )
 from bandit_switch import _vector
+from bandit_switch.kinf import _bern_kl, klucb_index
 
 
 # ---------------------------------------------------------------------------
@@ -167,12 +168,13 @@ def make_state(counts, sums, t):
     return state
 
 
-def random_binary_state(rng, k, extra_pulls):
+def random_state(rng, k, extra_pulls, rewards=(0.0, 1.0)):
     # every arm pulled once, then ``extra_pulls`` pulls of arms drawn with
-    # random (uneven) probabilities, so that pull counts differ widely
+    # random (uneven) probabilities, so that pull counts differ widely; each
+    # reward is drawn uniformly from ``rewards``
     state = PolicyState.fresh(k)
     for arm in list(range(k)) + [int(a) for a in rng.choice(k, size=extra_pulls, p=rng.dirichlet(np.ones(k)))]:
-        update(state, arm, float(rng.integers(0, 2)))
+        update(state, arm, rewards[int(rng.integers(0, len(rewards)))])
     return state
 
 
@@ -225,15 +227,18 @@ def test_pinsker_index_ordering_on_random_states():
     kl_a = PolicySpec("klucb-anytime")
     mo_a = PolicySpec("moss-anytime")
     sw_a = PolicySpec("klucb-switch-anytime", switch_exponent=8.0 / 9.0)
-    for _ in range(30):
-        k = int(rng.integers(2, 4))
-        state = random_binary_state(rng, k, int(rng.integers(0, 117)))
-        u_kl, u_sw, u_m = (indices(s, state) for s in (kl_t, sw_t, mo_t))
-        assert np.all(u_kl <= u_sw + 1e-9)
-        assert np.all(u_sw <= u_m + 1e-9)
-        u_kla, u_swa, u_ma = (indices(s, state) for s in (kl_a, sw_a, mo_a))
-        assert np.all(u_kla <= u_swa + 1e-9)
-        assert np.all(u_swa <= u_ma + 1e-9)
+    # binary rewards take the Bernoulli formulas; a reward of 1/2 sends a
+    # cell to klucb_index, which is held to the same ordering
+    for rewards in ((0.0, 1.0), (0.0, 0.5, 1.0)):
+        for _ in range(30):
+            k = int(rng.integers(2, 4))
+            state = random_state(rng, k, int(rng.integers(0, 117)), rewards)
+            u_kl, u_sw, u_m = (indices(s, state) for s in (kl_t, sw_t, mo_t))
+            assert np.all(u_kl <= u_sw + 1e-9)
+            assert np.all(u_sw <= u_m + 1e-9)
+            u_kla, u_swa, u_ma = (indices(s, state) for s in (kl_a, sw_a, mo_a))
+            assert np.all(u_kla <= u_swa + 1e-9)
+            assert np.all(u_swa <= u_ma + 1e-9)
 
 
 def test_anytime_indices_below_horizon_phi_counterparts():
@@ -246,7 +251,7 @@ def test_anytime_indices_below_horizon_phi_counterparts():
     mo_a = PolicySpec("moss-anytime", exploration="augmented_phi")
     mo_t_phi = PolicySpec("moss", horizon=t_hor, exploration="augmented_phi")
     for _ in range(20):
-        state = random_binary_state(rng, 2, int(rng.integers(0, t_hor - 1)))
+        state = random_state(rng, 2, int(rng.integers(0, t_hor - 1)))
         assert state.t <= t_hor
         assert np.all(indices(kl_a, state) <= indices(kl_t_phi, state) + 1e-9)
         assert np.all(indices(mo_a, state) <= indices(mo_t_phi, state) + 1e-9)
@@ -276,18 +281,37 @@ def test_imed_prefers_undersampled_equal_mean_arm():
 def test_kernel_empirical_branch_matches_bernoulli_branch(family, kwargs):
     # on {0, 1} rewards the kinf branch (given the distributions) and the
     # Bernoulli branch (means only, its KL cells queued and then inverted)
-    # compute the same divergence
+    # compute the same divergence, by the same formulas, to the bit
     spec = PolicySpec(family, **kwargs)
     ctx = _vector._Ctx(spec)
     rng = np.random.default_rng(24)
     for _ in range(40):
-        state = random_binary_state(rng, int(rng.integers(2, 5)), int(rng.integers(0, 250)))
+        state = random_state(rng, int(rng.integers(2, 5)), int(rng.integers(0, 250)))
         empirical = _vector._indices(ctx, state.counts, state.sums, state.t, state.dists)[0]
         pending = []
         bernoulli = _vector._indices(ctx, state.counts, state.sums, state.t, None, pending)[0]
         if pending:  # imed, and a switch with every arm past its threshold, queue nothing
             _vector._invert_pending(pending)
-        assert np.max(np.abs(empirical - bernoulli)) < 1e-10
+        assert np.array_equal(empirical, bernoulli)
+
+
+def test_binned_law_on_zero_takes_its_own_mean():
+    # rewards 0.004 round to the atom 0 at bins = 50, so arm 0's law is the
+    # point mass at 0 while s/n = 0.004; arm 1's law {0.6} is not binary
+    state = PolicyState.fresh(2, bins=50)
+    for arm, reward, pulls in ((0, 0.004, 2), (1, 0.6, 3)):
+        for _ in range(pulls):
+            update(state, arm, reward)
+    law = state.dists[0]
+    assert law.values.tolist() == [0.0] and state.sums[0, 0] / state.counts[0, 0] == 0.004
+    n = state.counts
+    d = _vector._explo("log_plus", state.t / (2 * n)) / n
+    klucb = indices(PolicySpec("klucb-anytime"), state)
+    assert klucb[0] == -math.expm1(-d[0, 0]) == klucb_index(law, d[0, 0])
+    assert klucb[1] == klucb_index(state.dists[1], d[0, 1])
+    pmax = np.clip((state.sums / n).max(axis=1), 1e-9, 1.0 - 1e-9)
+    kl = np.array([[_bern_kl(0.0, pmax[0]), 0.0]])
+    assert np.array_equal(indices(PolicySpec("imed"), state), (-(n * kl + np.log(n)))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from bandit_switch import (
     BanditInstance,
@@ -134,8 +135,9 @@ def test_vector_engine_replays_scalar_runs_exponential_comparator():
 
 def test_vector_engine_support_matrix():
     # A policy that reads the empirical distributions runs on the vector
-    # engine only when they reduce to their means: every arm on {0, 1} and
-    # no bins.  Every other policy runs on it always.
+    # engine only when they reduce to their means: every arm on {0, 1}, with
+    # or without bins, which leave 0 and 1 as they are.  Every other policy
+    # runs on it always.
     gauss = (TruncatedGaussian(0.7, 0.1), TruncatedGaussian(0.5, 0.1))
     binary = (Dirac(1.0), Dirac(0.0), Discrete((0.0, 1.0), (0.3, 0.7)))
     rows = [
@@ -145,11 +147,11 @@ def test_vector_engine_support_matrix():
         (gauss, 50, "ucb", "vector"),
         (BERN3.arms, None, "klucb-anytime", "vector"),
         (BERN3.arms, None, "imed", "vector"),
-        (BERN3.arms, 50, "klucb-anytime", "scalar"),
+        (BERN3.arms, 50, "klucb-anytime", "vector"),
         (BERN3.arms, 50, "moss-anytime", "vector"),
         (binary, None, "klucb-switch-anytime", "vector"),
         (binary, None, "imed", "vector"),
-        (binary, 50, "imed", "scalar"),
+        (binary, 50, "imed", "vector"),
         ((Dirac(0.5), Bernoulli(0.4)), None, "klucb-anytime", "scalar"),
         ((Discrete((0.0, 0.5, 1.0), (0.25, 0.5, 0.25)), Bernoulli(0.4)), None, "klucb", "scalar"),
     ]
@@ -410,35 +412,49 @@ SWITCH_8_9 = PolicySpec("klucb-switch-anytime", switch_exponent=8.0 / 9.0)
         # step 7, counts (1, 4, 1), sums (0, 2, 0): the two KL-branch arms at
         # mean 0 have index 1 - e^-ln2 = 1/2, tied with the MOSS-branch arm
         pytest.param(BERN_TIED, SWITCH_8_9, run_seed(8, 0, 1), id="switch-one-atom-at-zero"),
-        pytest.param(
-            FIG1_LEFT,
-            SWITCH_8_9,
-            run_seed(3, 3, 48),
-            id="switch-kl-branch-tie",
-            marks=pytest.mark.xfail(
-                strict=True,
-                reason="step 13, counts (3, 9), sums (1, 6): the KL-branch index kl^-1(1/3, ln2/3) is exactly 2/3, "
-                "the MOSS-branch arm's index; scalar klucb_index returns its bracket's feasible end "
-                "0.6666666666666166, bern_klucb 0.6666666666666666",
-            ),
-        ),
-        pytest.param(
-            FIG1_LEFT,
-            PolicySpec("imed"),
-            run_seed(4, 4, 160),
-            id="imed-tie",
-            marks=pytest.mark.xfail(
-                strict=True,
-                reason="step 10, counts (6, 3), sums (4, 1): 3 kl(1/3, 2/3) + ln 3 is exactly ln 6, the leader's "
-                "score; kinf gives 1.791759469228055, the Bernoulli KL 1.7917594692280552",
-            ),
-        ),
+        # step 13, counts (3, 9), sums (1, 6): the KL-branch index kl^-1(1/3, ln2/3)
+        # is exactly 2/3, the MOSS-branch arm's index
+        pytest.param(FIG1_LEFT, SWITCH_8_9, run_seed(3, 3, 48), id="switch-kl-branch-tie"),
+        # step 10, counts (6, 3), sums (4, 1): 3 kl(1/3, 2/3) + ln 3 is exactly
+        # ln 6, the leader's score
+        pytest.param(FIG1_LEFT, PolicySpec("imed"), run_seed(4, 4, 160), id="imed-tie"),
+        # the same two tie states, reached by runs of the fig1-left roster
+        # (base seeds 135 and 271, switch and imed rows)
+        pytest.param(FIG1_LEFT, SWITCH_8_9, run_seed(135, 3, 75), id="switch-kl-branch-tie-roster"),
+        pytest.param(FIG1_LEFT, PolicySpec("imed"), run_seed(271, 4, 141), id="imed-tie-roster"),
     ],
 )
 def test_vector_engine_replays_scalar_runs_at_exact_ties(bandit, spec, seed):
     horizon = 60
     _, actions = _vector.simulate(bandit, spec, horizon, [seed], tuple(range(1, horizon + 1)), record_actions=True)
     assert np.array_equal(run_episode(bandit, spec, horizon, seed).actions, actions[0])
+
+
+BINARY_ARMS = st.one_of(
+    st.integers(0, 10).map(lambda i: Bernoulli(i / 10)),
+    st.sampled_from((Dirac(0.0), Dirac(1.0))),
+    st.integers(0, 10).map(lambda i: Discrete((0.0, 1.0), (1.0 - i / 10, i / 10))),
+)
+BINARY_FAMILIES = ("klucb", "klucb-anytime", "klucb-switch", "klucb-switch-anytime", "imed")
+
+
+@given(
+    arms=st.lists(BINARY_ARMS, min_size=2, max_size=4),
+    family=st.sampled_from(BINARY_FAMILIES),
+    exponent=st.sampled_from((0.2, 8.0 / 9.0)),
+    horizon=st.integers(4, 80),
+    bins=st.sampled_from((None, 10)),
+    seed=st.integers(0, 2**64 - 1),
+)
+@example(arms=list(FIG1_LEFT.arms), family=SWITCH_8_9.family, exponent=8.0 / 9.0, horizon=60, bins=None, seed=run_seed(3, 3, 48))
+@example(arms=list(FIG1_LEFT.arms), family="imed", exponent=0.2, horizon=60, bins=None, seed=run_seed(4, 4, 160))
+def test_vector_engine_replays_scalar_runs_on_binary_arms(arms, family, exponent, horizon, bins, seed):
+    # on arms supported on {0, 1}, the scalar reference (empirical laws,
+    # atoms rounded to ``bins``) takes the vector engine's every action
+    bandit = BanditInstance(tuple(arms))
+    spec = PolicySpec(family, horizon=horizon, switch_exponent=exponent)
+    _, actions = _vector.simulate(bandit, spec, horizon, [seed], tuple(range(1, horizon + 1)), record_actions=True)
+    assert np.array_equal(run_episode(bandit, spec, horizon, seed, bins=bins).actions, actions[0])
 
 
 def assert_replays_the_scalar_reference(bandit, spec, horizon, seeds, bins=None):
