@@ -142,8 +142,10 @@ def _scenario_from_config(cfg: dict) -> Scenario:
             grid = default_record_grid(bandit.k, horizon)
         elif grid == "full":
             grid = tuple(range(1, horizon + 1))
-        else:
+        elif isinstance(grid, list) and grid:
             grid = tuple(positive_int(t, "record_grid entry") for t in grid)
+        else:
+            raise ConfigurationError(f'record_grid must be "geometric", "full" or a non-empty list, got {grid!r}')
         return Scenario(
             bandit=bandit,
             horizon=horizon,

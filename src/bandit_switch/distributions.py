@@ -101,16 +101,17 @@ class EmpiricalDistribution:
 
     def __init__(self, values: Sequence[float] = (), counts: Sequence[int] = (), *, bins: int | None = None):
         v = np.asarray(values, dtype=float)
-        c = np.asarray(counts, dtype=np.int64)
+        c = np.asarray(counts, dtype=float)
         if v.shape != c.shape or v.ndim != 1:
             raise ValueError("values and counts must be 1-d and of equal length")
         if v.size:
-            if np.any((v < 0.0) | (v > 1.0)):
+            if not np.all((v >= 0.0) & (v <= 1.0)):  # NaN fails too
                 raise ValueError("atom values must lie in [0, 1]")
             if np.any(np.diff(v) <= 0.0):
                 raise ValueError("atom values must be strictly increasing")
-            if np.any(c < 1):
-                raise ValueError("atom counts must be >= 1")
+            if not np.all((c >= 1.0) & (c < 2.0**53) & (c == np.floor(c))):  # NaN fails too
+                raise ValueError("atom counts must be whole numbers >= 1")
+        c = c.astype(np.int64)
         if bins is not None and bins < 1:
             raise ValueError("bins must be a positive integer")
         self._values = v

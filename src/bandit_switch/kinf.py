@@ -252,7 +252,7 @@ def klucb_index(nu: EmpiricalDistribution, threshold: float) -> float:
     root.  A bracket still open
     after ``_MAX_ITER`` iterations raises a :class:`RuntimeError`.
     """
-    if threshold < 0.0:
+    if not threshold >= 0.0:  # NaN fails too
         raise ValueError("threshold must be non-negative")
     m = nu.mean
     if threshold == 0.0:

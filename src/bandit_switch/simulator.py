@@ -9,7 +9,7 @@ derived from ``(base_seed, policy ordinal, run ordinal)`` and aggregates
 pseudo-regret at the recorded steps.  A scenario's policies on each engine
 run in lock step as one batch, cut into chunks of runs; every chunk job of
 one call is one ``simulate`` call, and all go through :func:`_map_jobs`,
-which also serves the grid oracle and starts a pool only at width above 1.
+which starts a pool only at width above 1.
 
 Regret is pseudo-regret, the gap-weighted count of sub-optimal pulls
 ``sum_a gap_a * N_a(t)``; its expectation is the usual expected regret and
@@ -175,8 +175,9 @@ def run_episode(
 
 def _map_jobs(fn, jobs, width: int) -> list:
     """``[fn(job) for job in jobs]``: in the calling process at ``width`` 1,
-    else over one pool of ``width`` worker processes.  ``concurrent.futures``
-    and ``multiprocessing`` (about 21 ms of imports) load only then."""
+    else over one pool of ``width`` worker processes, the package's only
+    pool.  ``concurrent.futures`` and ``multiprocessing`` (about 21 ms of
+    imports) load only then."""
     if width <= 1:
         return [fn(job) for job in jobs]
     from concurrent.futures import ProcessPoolExecutor

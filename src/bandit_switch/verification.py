@@ -21,7 +21,7 @@ from ._rng import CH_REWARD, mix64_array, unit_uniform_array
 from .distributions import BanditInstance, Bernoulli, EmpiricalDistribution
 from .kinf import bernoulli_kl, kinf, kinf_weighted, klucb_index
 from .policies import PolicySpec
-from .simulator import Scenario, _map_jobs, _sorted_unique, gap_profile, monte_carlo, positive_int, run_seed
+from .simulator import Scenario, _sorted_unique, gap_profile, monte_carlo, run_seed
 from . import _vector
 
 __all__ = [
@@ -191,8 +191,7 @@ def _random_empirical(rng: np.random.Generator, max_atoms: int = 20) -> Empirica
 
 
 # Bytes of the (rows x atoms) float64 block the grid oracle evaluates at a
-# time: small enough to stay in a core's cache, so that pooled workers do
-# not compete for memory bandwidth.
+# time: small enough to stay in a core's cache.
 _ORACLE_BLOCK_BYTES = 1 << 20
 
 # A block is bounded by the largest bound of its 16 sub-blocks, and skipped
@@ -284,8 +283,7 @@ def _grid_max(dist, mu: float, n: int) -> tuple:
 
 def _grid_oracle_chunk(args):
     """(largest (|newton - grid|, label), blocks evaluated, blocks) over the
-    jobs of one worker; equal gaps go to the larger label, so the overall
-    maximum does not depend on how the jobs were split."""
+    ``jobs``; equal gaps go to the larger label."""
     jobs, grid_points = args
     worst = (0.0, "")
     evaluated = total = 0
@@ -296,14 +294,6 @@ def _grid_oracle_chunk(args):
         evaluated += done
         total += blocks
     return worst, evaluated, total
-
-
-# Fewest laws for which the grid oracle starts a worker pool.  Median wall
-# time of the check at parallelism 2 in fresh interpreters, in-process / a
-# 2-worker pool (7 interleaved pairs, 2 vCPUs): 60 / 111 ms at 16 laws,
-# 153 / 149 at 48, 163 / 154 at 64, 284 / 235 at 96, the pool taking more
-# CPU up to 128; the break-even, 48-64 laws, rounded up to a power of two.
-_MIN_POOLED_LAWS = 64
 
 
 def _oracle_jobs(n_dists: int, seed: int) -> list:
@@ -323,20 +313,10 @@ def kinf_grid_oracle_check(
     grid_points: int = 1_000_000,
     seed: int = 20_240_101,
     tol: float = 1e-6,
-    parallelism: int = 2,
 ) -> BoundCheckReport:
     """Newton solver versus brute-force maximisation of the dual objective
-    on a uniform lambda grid.  Below ``_MIN_POOLED_LAWS`` laws, or at
-    ``parallelism`` 1, the jobs run in the calling process, else in one
-    worker pool, every ``parallelism``-th job to the same worker; the
-    result does not depend on the split."""
-    parallelism = positive_int(parallelism, "parallelism")
-    jobs = _oracle_jobs(n_dists, seed)
-    width = min(parallelism, len(jobs)) if len(jobs) >= _MIN_POOLED_LAWS else 1
-    results = _map_jobs(_grid_oracle_chunk, [(jobs[i::width], grid_points) for i in range(width)], width)
-    worsts, evaluated, totals = zip(*results)
-    worst, worst_label = max(worsts)
-    evaluated, total = sum(evaluated), sum(totals)
+    on a uniform lambda grid, in the calling process."""
+    (worst, worst_label), evaluated, total = _grid_oracle_chunk((_oracle_jobs(n_dists, seed), grid_points))
     points = [_point(f"max |newton - grid| ({worst_label})", worst, tol)]
     return BoundCheckReport(
         bound_name="kinf-grid-oracle",
@@ -390,19 +370,11 @@ def regularity_check(samples: int = 10_000, seed: int = 20_240_102, tol: float =
 # deviation / concentration checkers
 
 
-def _binary_empirical(n: int, c: int) -> EmpiricalDistribution:
-    """The empirical distribution of c ones out of n >= 1 observations in
-    {0, 1}: one atom when c is 0 or n, else two."""
-    if c == 0:
-        return EmpiricalDistribution([0.0], [n])
-    if c == n:
-        return EmpiricalDistribution([1.0], [n])
-    return EmpiricalDistribution([0.0, 1.0], [n - c, c])
-
-
 def _binary_empiricals(n: int) -> list:
-    """The empirical distribution of c ones out of n, for every count c."""
-    return [_binary_empirical(n, c) for c in range(n + 1)]
+    """The empirical distribution of c ones out of n >= 1 observations in
+    {0, 1}, for every count c: one atom when c is 0 or n, else two."""
+    inner = [EmpiricalDistribution([0.0, 1.0], [n - c, c]) for c in range(1, n)]
+    return [EmpiricalDistribution([0.0], [n]), *inner, EmpiricalDistribution([1.0], [n])]
 
 
 def _binary_kinf_table(n: int, mu: float) -> np.ndarray:
@@ -556,10 +528,9 @@ def hoeffding_integrated_check(arm, n_start: int, eps_grid, runs: int, seed: int
 
 
 def _checkpoint_states(bandit: BanditInstance, seeds, actions: np.ndarray, steps):
-    """(step, n, s, dists) after each of the increasing ``steps``: the pull
-    counts and reward sums, shape (runs, K), and the empirical distribution
-    of every cell in the flat arm-major order ``arm * runs + run``, of the
-    runs with these ``seeds`` that took the logged ``actions`` (runs, T).
+    """(step, n, s) after each of the increasing ``steps``: the pull counts
+    and reward sums, shape (runs, K), of the runs with these ``seeds`` that
+    took the logged ``actions`` (runs, T).
 
     One array pass rebuilds them: each run's rewards are hashed as the
     simulation hashes them, drawn by the arms' own quantiles, and summed by
@@ -576,9 +547,7 @@ def _checkpoint_states(bandit: BanditInstance, seeds, actions: np.ndarray, steps
         pulled = actions == a
         n[:, :, a] = np.cumsum(pulled, axis=1)[:, steps - 1].T
         s[:, :, a] = np.cumsum(np.where(pulled, arm.quantile(u), 0.0), axis=1)[:, steps - 1].T
-    for step, n_t, s_t in zip(steps.tolist(), n, s):
-        dists = [_binary_empirical(int(m), int(c)) for m, c in zip(n_t.T.ravel().tolist(), s_t.T.ravel().tolist())]
-        yield step, n_t, s_t, dists
+    yield from zip(steps.tolist(), n, s)
 
 
 def index_ordering_check(
@@ -595,8 +564,8 @@ def index_ordering_check(
     States are produced by anytime-switch runs, simulated vectorised and
     sampled at log-spaced steps; their checkpoint states are rebuilt from
     the action log by ``_checkpoint_states``, and each index is evaluated
-    on all runs at once.  Every checkpoint law lies on {0, 1}, so the klucb
-    indices are the Bernoulli ones (``_vector.bern_klucb``), with no solve.
+    on all runs at once.  Every checkpoint law lies on {0, 1}, so the
+    indices take the kernel's Bernoulli branch, exact there, with no solve.
     """
     bandit = BanditInstance((Bernoulli(0.8), Bernoulli(0.6), Bernoulli(0.4)))
     k = bandit.k
@@ -612,15 +581,15 @@ def index_ordering_check(
     _, actions = _vector.simulate(bandit, driver, horizon, seeds, (horizon,), record_actions=True)
     sample_steps = _sorted_unique(np.geomspace(k + 1, horizon, checkpoints_per_run).astype(int))
 
-    def worst_gap(trio, n, s, step, dists) -> float:
-        u_kl, u_sw, u_m = (_vector._indices(ctx, n, s, step, dists) for ctx in trio)
+    def worst_gap(trio, n, s, step) -> float:
+        u_kl, u_sw, u_m = (_vector._indices(ctx, n, s, step) for ctx in trio)
         return max(float(np.max(u_kl - u_sw)), float(np.max(u_sw - u_m)))
 
     worst_known = -math.inf
     worst_anytime = -math.inf
-    for step, n, s, dists in _checkpoint_states(bandit, seeds, actions, sample_steps):
-        worst_known = max(worst_known, worst_gap(known, n, s, step, dists))
-        worst_anytime = max(worst_anytime, worst_gap(anytime, n, s, step, dists))
+    for step, n, s in _checkpoint_states(bandit, seeds, actions, sample_steps):
+        worst_known = max(worst_known, worst_gap(known, n, s, step))
+        worst_anytime = max(worst_anytime, worst_gap(anytime, n, s, step))
     checked = runs * sample_steps.size
     points = [
         _point("known-horizon: max(U_kl - U_switch, U_switch - U_moss)", worst_known, tol),
@@ -835,7 +804,7 @@ def run_suite(name: str, runs: int | None = None, parallelism: int = 1) -> list:
     """Run one named verification suite; returns its reports."""
     if name == "kinf-oracle":
         return [
-            kinf_grid_oracle_check(n_dists=runs or 500, parallelism=parallelism),
+            kinf_grid_oracle_check(n_dists=runs or 500),
             bernoulli_identity_check(),
             regularity_check(samples=runs * 20 if runs else 10_000),
         ]

@@ -36,7 +36,7 @@ def violations(report) -> list:
 
 def test_c01_kinf_grid_oracle():
     t0 = time.time()
-    report = kinf_grid_oracle_check(n_dists=500, grid_points=1_000_000, parallelism=PARALLELISM)
+    report = kinf_grid_oracle_check(n_dists=500, grid_points=1_000_000)
     elapsed = time.time() - t0
     ok = report.ok and elapsed < 60.0
     report_line(

@@ -343,6 +343,25 @@ def test_sweep_bad_policy_or_x_exits_2(tmp_path, capsys, field, cfg):
     assert not (tmp_path / "out" / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("grid", ["123", [], "", 5, None, "Full"], ids=["digits", "empty-list", "empty-string", "int", "null", "Full"])
+def test_bad_record_grid_exits_2(tmp_path, capsys, grid):
+    # a string is not read as a sequence of steps, and no empty value means the default
+    path = write_config(tmp_path, dict(SMALL_CONFIG, record_grid=grid))
+    assert main(["run", path, "--out-dir", str(tmp_path / "out")]) == 2
+    assert "record_grid" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "regret.csv").exists()
+
+
+def test_full_record_grid_writes_every_step(tmp_path):
+    cfg = write_config(tmp_path, dict(SMALL_CONFIG, record_grid="full", horizon=40, runs=3))
+    out = tmp_path / "out"
+    assert main(["run", cfg, "--out-dir", str(out), "--parallelism", "1"]) == 0
+    rows = read_rows(out / "regret.csv")[1:]
+    for label in ("UCB", "KL-UCB-switch"):
+        assert [int(r[1]) for r in rows if r[0] == label] == list(range(1, 41))
+    assert json.loads((out / "meta.json").read_text())["config"]["record_grid"] == list(range(1, 41))
+
+
 def test_zero_bins_exits_2_before_any_run(tmp_path):
     # rejected even though no policy of the roster reads the distributions
     cfg = dict(SMALL_CONFIG, bins=0, policies=[{"family": "ucb"}])

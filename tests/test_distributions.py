@@ -106,6 +106,28 @@ def test_constructor_validation():
         EmpiricalDistribution([1.2], [1])  # out of range
 
 
+@pytest.mark.parametrize(
+    "values,counts,message",
+    [
+        ([math.nan], [1], "lie in"),
+        ([0.2, math.nan], [1, 1], "lie in"),
+        ([0.5], [1.5], "whole numbers"),
+        ([0.2, 0.7], [2, 0.5], "whole numbers"),
+        ([0.5], [math.nan], "whole numbers"),
+        ([0.5], [math.inf], "whole numbers"),
+    ],
+)
+def test_constructor_rejects_nan_atoms_and_fractional_counts(values, counts, message):
+    # a NaN atom would give kinf a NaN value marked converged, and a count
+    # of 1.5 would be truncated to 1
+    with pytest.raises(ValueError, match=message):
+        EmpiricalDistribution(values, counts)
+
+
+def test_constructor_keeps_whole_float_counts():
+    assert EmpiricalDistribution([0.2, 0.7], [2.0, 3.0]) == EmpiricalDistribution([0.2, 0.7], [2, 3])
+
+
 def test_bins_mode_rounds_to_grid():
     d = EmpiricalDistribution.from_observations((0.111, 0.108, 0.909), bins=10)
     assert d.atoms == [(0.1, 2), (0.9, 1)]

@@ -68,7 +68,7 @@ def test_every_private_module_level_name_is_referenced():
 
 
 # Imports the package, builds the fig1-left scenario and runs ``verify
-# ordering --runs 2`` and ``verify kinf-oracle --runs 2 --parallelism 2``,
+# ordering --runs 2`` and ``verify kinf-oracle --runs 64 --parallelism 2``,
 # printing after each step which of the slow imports are loaded.
 _SLOW_IMPORTS_CODE = """
 import sys, tempfile
@@ -81,7 +81,7 @@ loaded()
 with tempfile.TemporaryDirectory() as out_dir:
     assert cli.main(["verify", "ordering", "--runs", "2", "--out-dir", out_dir]) == 0
     loaded()
-    assert cli.main(["verify", "kinf-oracle", "--runs", "2", "--parallelism", "2", "--out-dir", out_dir]) == 0
+    assert cli.main(["verify", "kinf-oracle", "--runs", "64", "--parallelism", "2", "--out-dir", out_dir]) == 0
     loaded()
 """
 
@@ -89,7 +89,8 @@ with tempfile.TemporaryDirectory() as out_dir:
 def test_import_fig1_left_build_and_verify_leave_the_slow_imports_unloaded():
     # only a truncated-Gaussian draw needs scipy, which takes about 0.3 s to
     # import; np.unique imports numpy.ma, about 20 ms; and only a started
-    # worker pool needs concurrent.futures and multiprocessing, about 21 ms
+    # worker pool needs concurrent.futures and multiprocessing, about 21 ms,
+    # and only monte_carlo starts one, not the grid oracle at any law count
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH")))))
     out = subprocess.run([sys.executable, "-c", _SLOW_IMPORTS_CODE], env=env, capture_output=True, text=True, check=True)
     loaded = [line for line in out.stdout.splitlines() if line.startswith("[")]

@@ -319,6 +319,12 @@ def test_klucb_index_pinsker_cap_and_consistency():
             assert kinf(dist, idx - 1e-7).value <= d + 1e-6
 
 
+@pytest.mark.parametrize("threshold", [math.nan, -1e-12, -math.inf])
+def test_klucb_index_rejects_a_nan_or_negative_threshold(threshold):
+    with pytest.raises(ValueError, match="threshold"):
+        klucb_index(EmpiricalDistribution([0.2, 0.7], [1, 1]), threshold)
+
+
 def test_klucb_index_point_mass_at_one():
     d1 = EmpiricalDistribution([1.0], [3])
     assert klucb_index(d1, 0.5) == 1.0

@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from bandit_switch import BanditInstance, Bernoulli, ConfigurationError, EmpiricalDistribution, PolicySpec, TruncatedGaussian
+from bandit_switch import BanditInstance, Bernoulli, EmpiricalDistribution, PolicySpec, TruncatedGaussian
 from bandit_switch import _vector
 from bandit_switch.kinf import bernoulli_kl, kinf_weighted
 from bandit_switch.simulator import run_seed
 from bandit_switch.verification import (
     BOUND_IDS,
-    _binary_empirical,
-    _MIN_POOLED_LAWS,
+    _binary_empiricals,
     _block_bounds,
     _checkpoint_states,
     _grid_max,
@@ -188,25 +187,23 @@ def ordering_specs(horizon: int) -> list:
 
 
 def assert_checkpoints_equal_the_replay(bandit, seeds, actions, steps) -> int:
-    """Every rebuilt (n, s, dists) and every index vector of the six
-    specs, evaluated on the whole batch, equals the per-step replay's bit
-    for bit; returns the number of one-atom laws of n >= 2 observations.
-    Run r's law of arm a is at a * runs + r, in the state's arm-major order."""
+    """Every rebuilt (n, s), and every index vector of the six specs on the
+    kernel's Bernoulli branch, evaluated on the whole batch, equals the
+    per-step replay's, whose indices take the empirical branch, bit for
+    bit; returns the number of the replay's one-atom laws of n >= 2
+    observations."""
     specs = ordering_specs(actions.shape[1])
     rebuilt = {
-        step: (n, s, dists, [_vector._indices(_vector._Ctx(spec), n, s, step, dists) for spec in specs])
-        for step, n, s, dists in _checkpoint_states(bandit, seeds, actions, steps)
+        step: (n, s, [_vector._indices(_vector._Ctx(spec), n, s, step) for spec in specs])
+        for step, n, s in _checkpoint_states(bandit, seeds, actions, steps)
     }
     assert sorted(rebuilt) == sorted(int(step) for step in steps)
     seen = one_atom = 0
     for r, step, counts, sums, dists, vectors in replay_checkpoints(bandit, seeds, actions, steps, specs):
-        n, s, rebuilt_dists, rebuilt_vectors = rebuilt[step]
+        n, s, rebuilt_vectors = rebuilt[step]
         assert n[r].tobytes() == counts.tobytes()
         assert s[r].tobytes() == sums.tobytes()
-        for a, want in enumerate(dists):
-            got = rebuilt_dists[a * len(seeds) + r]
-            assert got == want and got.mean == want.mean and got.weights.tobytes() == want.weights.tobytes()
-            one_atom += len(got) == 1 and got.total_count >= 2
+        one_atom += sum(len(law) == 1 and law.total_count >= 2 for law in dists)
         for spec, got, want in zip(specs, rebuilt_vectors, vectors):
             assert got[r].tobytes() == want.tobytes(), (spec.family, r, step)
         seen += 1
@@ -243,34 +240,15 @@ def test_checkpoint_states_need_binary_arms():
 
 @pytest.mark.parametrize("n", [1, 2, 7])
 def test_binary_empirical_is_the_law_of_pushed_ones(n):
-    for c in range(n + 1):
+    laws = _binary_empiricals(n)
+    assert len(laws) == n + 1
+    for c, law in enumerate(laws):
         pushed = EmpiricalDistribution.from_observations([1.0] * c + [0.0] * (n - c))
-        law = _binary_empirical(n, c)
         assert law == pushed and law.mean == pushed.mean
 
 
 # ---------------------------------------------------------------------------
 # grid oracle
-
-
-@pytest.mark.parametrize("bad", [0, -3, 1.5, "abc", True])
-def test_grid_oracle_rejects_bad_parallelism(bad):
-    with pytest.raises(ConfigurationError, match="parallelism"):
-        kinf_grid_oracle_check(n_dists=3, grid_points=1000, parallelism=bad)
-
-
-def test_grid_oracle_does_not_depend_on_parallelism(opened_pools):
-    # one law below the pool threshold, every job runs in the calling
-    # process; at it, parallelism 2 starts one pool of 2 workers
-    for n_dists, pools in ((_MIN_POOLED_LAWS - 1, []), (_MIN_POOLED_LAWS, [2])):
-        opened_pools.clear()
-        serial = kinf_grid_oracle_check(n_dists=n_dists, grid_points=100_000, parallelism=1)
-        pooled = kinf_grid_oracle_check(n_dists=n_dists, grid_points=100_000, parallelism=2)
-        assert opened_pools == pools
-        assert serial.ok
-        assert serial.values == pooled.values
-        assert serial.points[0].label == pooled.points[0].label
-        assert serial.notes == pooled.notes
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 1000, 131_073, 1_000_000])
@@ -289,13 +267,13 @@ def test_grid_points_equal_linspace_bit_for_bit(n):
 
 
 def test_grid_oracle_of_one_point_takes_lambda_0():
-    report = kinf_grid_oracle_check(n_dists=3, grid_points=1, parallelism=1)
+    report = kinf_grid_oracle_check(n_dists=3, grid_points=1)
     assert report.values["worst_gap"] > 0.0 and report.values["blocks_total"] == 3
     assert report.notes == "1-point uniform lambda grid; 3 of 3 blocks evaluated"
 
 
 def test_grid_oracle_reports_the_blocks_it_evaluated():
-    report = kinf_grid_oracle_check(n_dists=16, grid_points=1_000_000, parallelism=1)
+    report = kinf_grid_oracle_check(n_dists=16, grid_points=1_000_000)
     evaluated, total = report.values["blocks_evaluated"], report.values["blocks_total"]
     assert 16 <= evaluated < total
     assert report.notes == f"1000000-point uniform lambda grid; {evaluated} of {total} blocks evaluated"
@@ -366,15 +344,6 @@ def test_grid_values_are_bounded_by_the_interval_end_bound(dist, mu, grid_points
         values = np.log1p(np.multiply.outer(lam[lo : hi + 1], -z)) @ w
         bound = _interval_bounds(z, w, lam[[lo]], lam[[hi]])[0]
     assert values.max() <= bound + 1e-12
-
-
-@pytest.mark.parametrize("parallelism,pools", [(2, 1), (1, 0)])
-def test_kinf_oracle_suite_passes_parallelism(opened_pools, parallelism, pools):
-    # at the pool threshold's law count, parallelism 2 starts one pool
-    reports = run_suite("kinf-oracle", runs=_MIN_POOLED_LAWS, parallelism=parallelism)
-    assert all(report.ok for report in reports)
-    assert len(opened_pools) == pools
-    assert all(width <= parallelism for width in opened_pools)
 
 
 # ---------------------------------------------------------------------------
