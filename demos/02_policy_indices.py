@@ -1,6 +1,7 @@
 """The index-policy family on a shared state: how the empirical-
 likelihood, switch, and minimax indices relate, and when the switch
-policy changes branch.
+policy changes branch.  A state is one run's pull counts and reward sums,
+arrays of shape (1, K), plus each arm's empirical distribution.
 
 Run:  python demos/02_policy_indices.py
 """
@@ -10,12 +11,11 @@ import numpy as np
 from bandit_switch import (
     BanditInstance,
     Bernoulli,
+    EmpiricalDistribution,
     PolicySpec,
-    PolicyState,
     indices,
     switch_threshold,
     switch_value,
-    update,
 )
 
 rng = np.random.default_rng(12)
@@ -26,10 +26,14 @@ print("Replaying one short history and printing every family's index on")
 print("the same state.  The sandwich klucb <= switch <= moss always holds.")
 print()
 
-state = PolicyState.fresh(2)
-for step in range(1, 41):
+t = 40
+rewards = ([], [])
+for step in range(1, t + 1):
     arm = (step - 1) % 2 if step <= 2 else int(rng.integers(2))
-    update(state, arm, float(bandit.arms[arm].quantile(rng.random())))
+    rewards[arm].append(float(bandit.arms[arm].quantile(rng.random())))
+n = np.array([[len(xs) for xs in rewards]], dtype=float)
+s = np.array([[sum(xs) for xs in rewards]])
+dists = [EmpiricalDistribution.from_observations(xs) for xs in rewards]
 
 specs = {
     "ucb": PolicySpec("ucb"),
@@ -42,13 +46,13 @@ specs = {
     "imed (-score)": PolicySpec("imed"),
 }
 
-print(f"state after t = {state.t} pulls: counts = {state.counts[0].astype(int).tolist()}, "
-      f"means = {[round(state.mean(a), 3) for a in range(2)]}")
+print(f"state after t = {t} pulls: counts = {n[0].astype(int).tolist()}, "
+      f"means = {[round(m, 3) for m in (s / n)[0].tolist()]}")
 print()
 print(f"{'family':>18} | {'arm 0':>10} | {'arm 1':>10}")
 print("-" * 46)
 for name, spec in specs.items():
-    i0, i1 = indices(spec, state)
+    i0, i1 = indices(spec, n, s, t, dists)[0]
     print(f"{name:>18} | {i0:10.5f} | {i1:10.5f}")
 
 print()
@@ -66,17 +70,16 @@ for tau in (10, 100, 1000, 10_000, 100_000):
 print()
 print("Anytime switch on a growing history: the branch is re-evaluated at")
 print("every step from the current pull count, so an arm can switch back.")
-state = PolicyState.fresh(2)
-sw = PolicySpec("klucb-switch-anytime", switch_exponent=8.0 / 9.0)
+n0 = 0
 last_branch = None
-for step in range(1, 201):
-    arm = (step - 1) % 2 if step <= 2 else int(rng.integers(2))
-    update(state, arm, float(bandit.arms[arm].quantile(rng.random())))
-    if step < 3:
+for t in range(1, 201):
+    arm = (t - 1) % 2 if t <= 2 else int(rng.integers(2))
+    rng.random()  # the reward's uniform; the branch reads only the pull count
+    n0 += arm == 0
+    if t < 3:
         continue
-    f = switch_value(state.t, 2, 8.0 / 9.0)
-    n0 = int(state.counts[0, 0])
+    f = switch_value(t, 2, 8.0 / 9.0)
     branch = "klucb" if n0 <= f else "moss"
     if branch != last_branch:
-        print(f"  t = {state.t:>4}: arm 0 has {n0:>3} pulls, f(t, K) = {f:7.2f} -> {branch} branch")
+        print(f"  t = {t:>4}: arm 0 has {n0:>3} pulls, f(t, K) = {f:7.2f} -> {branch} branch")
         last_branch = branch

@@ -28,15 +28,12 @@ from .policies import (
     EXPLORATIONS,
     FAMILIES,
     PolicySpec,
-    PolicyState,
     indices,
     log_plus,
     moss_index,
     phi,
-    select_arm,
     switch_threshold,
     switch_value,
-    update,
 )
 from .simulator import (
     ConfigurationError,

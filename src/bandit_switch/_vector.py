@@ -2,8 +2,8 @@
 
 :func:`_indices` is the only place an index is computed, and
 :func:`simulate` the only per-step loop.  Both work on state arrays of
-shape (runs, arms): a batch of independent runs, or one run (also
-:func:`.policies.select_arm`'s state).  :func:`simulate` stacks the runs
+shape (runs, arms): a batch of independent runs, or one run, as
+:func:`.policies.indices` takes them.  :func:`simulate` stacks the runs
 of several policies as row blocks of one such state, stored arm-major so
 that reductions over the arms run along the long axis.  Every index is
 maximised; imed's is its score negated.  Rewards and
@@ -272,7 +272,7 @@ def _indices(ctx: _Ctx, n: np.ndarray, s: np.ndarray, t: int, dists=None, pendin
     mean = s / n
 
     if fam == "ucb":
-        c = 2.0 * math.log(t) if spec.ucb_classic else math.log(t) / 2.0
+        c = math.log(t) / 2.0
         return mean + np.sqrt(c / n)
     if fam in ("moss", "moss-anytime"):
         ratio = (spec.horizon if fam == "moss" else t) / k

@@ -112,8 +112,8 @@ class EmpiricalDistribution:
             if not np.all((c >= 1.0) & (c < 2.0**53) & (c == np.floor(c))):  # NaN fails too
                 raise ValueError("atom counts must be whole numbers >= 1")
         c = c.astype(np.int64)
-        if bins is not None and bins < 1:
-            raise ValueError("bins must be a positive integer")
+        if bins is not None:
+            bins = positive_int(bins, "bins")
         self._values = v
         self._counts = c
         self._total = int(c.sum())

@@ -2,8 +2,7 @@
 
 Families
 --------
-- ``ucb``: empirical mean plus sqrt(ln t / (2 N)); the classical
-  sqrt(2 ln t / N) bonus is available behind ``ucb_classic``.
+- ``ucb``: empirical mean plus sqrt(ln t / (2 N)).
 - ``moss`` / ``moss-anytime``: mean plus
   sqrt(explo(ratio / N) / (2 N)) with ratio = T/K, resp. t/K.
 - ``klucb`` / ``klucb-anytime``: empirical-likelihood upper-confidence
@@ -23,8 +22,8 @@ x -> ln_+(x (1 + ln_+^2 x)) used by the theoretical anytime indices.
 
 Every family maximises its index.  Every index is computed by the kernel
 in :mod:`._vector`, which its simulation loop shares; this module holds
-the policy configuration, the one-run state, and the one-run entry points
-:func:`indices` and :func:`select_arm`.
+the policy configuration and :func:`indices`, the kernel's public entry
+point on a state of pull counts and reward sums.
 """
 
 from __future__ import annotations
@@ -35,22 +34,19 @@ from typing import Optional
 
 import numpy as np
 
-from ._vector import _Ctx, _indices, _tie_break, log_plus, moss_index, phi, switch_threshold, switch_value
-from .distributions import EmpiricalDistribution, positive_int
+from ._vector import _Ctx, _indices, log_plus, moss_index, phi, switch_threshold, switch_value
+from .distributions import positive_int
 
 __all__ = [
     "FAMILIES",
     "EXPLORATIONS",
     "PolicySpec",
-    "PolicyState",
     "log_plus",
     "phi",
     "moss_index",
     "switch_threshold",
     "switch_value",
     "indices",
-    "select_arm",
-    "update",
 ]
 
 FAMILIES = (
@@ -88,7 +84,6 @@ class PolicySpec:
     exploration: str = "log_plus"
     switch_exponent: float = 0.2
     sigma: float = 0.1
-    ucb_classic: bool = False
     label: Optional[str] = None
 
     def __post_init__(self):
@@ -108,6 +103,8 @@ class PolicySpec:
             raise ValueError("switch exponent must lie in (0, 1)")
         if self.family == "klucb-gauss" and not (math.isfinite(self.sigma) and self.sigma > 0.0):
             raise ValueError(f"sigma must be positive and finite, got {self.sigma!r}")
+        if self.label is not None and not (isinstance(self.label, str) and self.label):
+            raise ValueError(f"policy label must be a non-empty string, got {self.label!r}")
 
     @property
     def name(self) -> str:
@@ -127,8 +124,6 @@ class PolicySpec:
             cfg["switch_exponent"] = self.switch_exponent
         if self.family == "klucb-gauss":
             cfg["sigma"] = self.sigma
-        if self.family == "ucb" and self.ucb_classic:
-            cfg["ucb_classic"] = True
         if self.label is not None:
             cfg["label"] = self.label
         return cfg
@@ -143,63 +138,15 @@ class PolicySpec:
         return cls(**cfg)
 
 
-@dataclass
-class PolicyState:
-    """Per-run sufficient statistics: pull counts and reward sums as (1, K)
-    float arrays (the index kernel's one-run shape), empirical
-    distributions, and the global step counter.  Owned by a single run."""
-
-    counts: np.ndarray
-    sums: np.ndarray
-    dists: list
-    t: int = 0
-
-    @classmethod
-    def fresh(cls, k: int, *, bins: int | None = None) -> "PolicyState":
-        if k < 1:
-            raise ValueError("need at least one arm")
-        return cls(
-            counts=np.zeros((1, k)),
-            sums=np.zeros((1, k)),
-            dists=[EmpiricalDistribution(bins=bins) for _ in range(k)],
-        )
-
-    def mean(self, arm: int) -> float:
-        n = self.counts[0, arm]
-        if n == 0:
-            raise ValueError(f"arm {arm} has not been pulled yet")
-        return float(self.sums[0, arm] / n)
-
-
-def update(state: PolicyState, arm: int, reward: float) -> PolicyState:
-    """Record one observation; mutates and returns ``state``.
-
-    Counts and sums always accumulate the exact reward.  When the state's
-    distributions were built with ``bins``, only the atom entering the
-    empirical distribution is rounded (that accumulator is the divergence
-    solver's cost center); the binned mean then deviates from the exact
-    one by at most 1/(2 bins).
-    """
-    if not 0.0 <= reward <= 1.0:
-        raise ValueError(f"reward {reward!r} outside [0, 1]")
-    state.counts[0, arm] += 1.0
-    state.sums[0, arm] += reward
-    state.dists[arm]._push(reward)
-    state.t += 1
-    return state
-
-
-def indices(spec: PolicySpec, state: PolicyState) -> np.ndarray:
-    """Index of every arm at the current state, shape (K,), from the kernel
-    shared with the vectorised engine.  Every family maximises: imed's index
-    is -(N kinf + ln N), its score negated."""
-    if not state.counts.all():
-        raise ValueError(f"arm {int(np.argmin(state.counts))} has not been pulled yet")
-    return _indices(_Ctx(spec), state.counts, state.sums, state.t, state.dists)[0]
-
-
-def select_arm(spec: PolicySpec, state: PolicyState, tie_u: float) -> int:
-    """Arm choice: argmax of the family index, ties broken by the uniform
-    ``tie_u``: among m tied arms, the i-th in arm order for tie_u in
-    [i/m, (i+1)/m)."""
-    return int(_tie_break(indices(spec, state)[None], tie_u)[0])
+def indices(spec: PolicySpec, n: np.ndarray, s: np.ndarray, t: int, dists=None) -> np.ndarray:
+    """Index of every (run, arm) at time ``t``, shape (runs, K), from pull
+    counts ``n`` and reward sums ``s`` of that shape, by the kernel that
+    the simulation loop runs.  ``dists``, each cell's empirical
+    distribution in arm-major order (``arm * runs + run``), selects the
+    divergence branch of the empirical-likelihood families; without it
+    they take the Bernoulli branch, exact for arms supported on {0, 1}.
+    Every family maximises: imed's index is -(N kinf + ln N), its score
+    negated."""
+    if not n.all():
+        raise ValueError(f"arm {int(np.argmin(n.min(axis=0)))} has not been pulled yet")
+    return _indices(_Ctx(spec), n, s, t, dists)

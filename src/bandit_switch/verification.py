@@ -20,7 +20,7 @@ import numpy as np
 from ._rng import CH_REWARD, mix64_array, unit_uniform_array
 from .distributions import BanditInstance, Bernoulli, EmpiricalDistribution
 from .kinf import bernoulli_kl, kinf, kinf_weighted, klucb_index
-from .policies import PolicySpec
+from .policies import PolicySpec, indices
 from .simulator import Scenario, _sorted_unique, gap_profile, monte_carlo, run_seed
 from . import _vector
 
@@ -281,31 +281,14 @@ def _grid_max(dist, mu: float, n: int) -> tuple:
     return best, evaluated, bounds.size
 
 
-def _grid_oracle_chunk(args):
-    """(largest (|newton - grid|, label), blocks evaluated, blocks) over the
-    ``jobs``; equal gaps go to the larger label."""
-    jobs, grid_points = args
-    worst = (0.0, "")
-    evaluated = total = 0
-    for label, values, counts, mu in jobs:
-        dist = EmpiricalDistribution(values, counts)
-        best, done, blocks = _grid_max(dist, mu, grid_points)
-        worst = max(worst, (abs(kinf(dist, mu).value - best), label))
-        evaluated += done
-        total += blocks
-    return worst, evaluated, total
-
-
-def _oracle_jobs(n_dists: int, seed: int) -> list:
-    """The grid oracle's (label, values, counts, mu) jobs: random laws of at
-    most 20 atoms, mu drawn from [mean - 0.05, 0.999]."""
+def _oracle_jobs(n_dists: int, seed: int):
+    """The grid oracle's (label, law, mu) jobs: random laws of at most 20
+    atoms, mu drawn from [mean - 0.05, 0.999]."""
     rng = np.random.default_rng(seed)
-    jobs = []
     for i in range(n_dists):
         dist = _random_empirical(rng)
         mu = float(rng.uniform(max(dist.mean - 0.05, 1e-3), 0.999))
-        jobs.append((f"dist {i}, mu={mu:.4f}", dist.values, dist.counts, mu))
-    return jobs
+        yield f"dist {i}, mu={mu:.4f}", dist, mu
 
 
 def kinf_grid_oracle_check(
@@ -315,15 +298,24 @@ def kinf_grid_oracle_check(
     tol: float = 1e-6,
 ) -> BoundCheckReport:
     """Newton solver versus brute-force maximisation of the dual objective
-    on a uniform lambda grid, in the calling process."""
-    (worst, worst_label), evaluated, total = _grid_oracle_chunk((_oracle_jobs(n_dists, seed), grid_points))
-    points = [_point(f"max |newton - grid| ({worst_label})", worst, tol)]
+    on a uniform lambda grid, in the calling process; the worst gap is the
+    largest (|newton - grid|, label), so equal gaps go to the larger
+    label."""
+    worst = (0.0, "")
+    evaluated = total = 0
+    for label, dist, mu in _oracle_jobs(n_dists, seed):
+        best, done, blocks = _grid_max(dist, mu, grid_points)
+        worst = max(worst, (abs(kinf(dist, mu).value - best), label))
+        evaluated += done
+        total += blocks
+    worst_gap, worst_label = worst
+    points = [_point(f"max |newton - grid| ({worst_label})", worst_gap, tol)]
     return BoundCheckReport(
         bound_name="kinf-grid-oracle",
         points=points,
         runs=n_dists,
         notes=f"{grid_points}-point uniform lambda grid; {evaluated} of {total} blocks evaluated",
-        values={"worst_gap": worst, "blocks_evaluated": evaluated, "blocks_total": total},
+        values={"worst_gap": worst_gap, "blocks_evaluated": evaluated, "blocks_total": total},
     )
 
 
@@ -570,19 +562,15 @@ def index_ordering_check(
     bandit = BanditInstance((Bernoulli(0.8), Bernoulli(0.6), Bernoulli(0.4)))
     k = bandit.k
     driver = PolicySpec("klucb-switch-anytime", switch_exponent=8.0 / 9.0)
-    known = tuple(
-        _vector._Ctx(PolicySpec(family, horizon=horizon)) for family in ("klucb", "klucb-switch", "moss")
-    )
-    anytime = tuple(
-        _vector._Ctx(PolicySpec(family)) for family in ("klucb-anytime", "klucb-switch-anytime", "moss-anytime")
-    )
+    known = tuple(PolicySpec(family, horizon=horizon) for family in ("klucb", "klucb-switch", "moss"))
+    anytime = tuple(PolicySpec(family) for family in ("klucb-anytime", "klucb-switch-anytime", "moss-anytime"))
 
     seeds = [run_seed(seed, 0, r) for r in range(runs)]
     _, actions = _vector.simulate(bandit, driver, horizon, seeds, (horizon,), record_actions=True)
     sample_steps = _sorted_unique(np.geomspace(k + 1, horizon, checkpoints_per_run).astype(int))
 
     def worst_gap(trio, n, s, step) -> float:
-        u_kl, u_sw, u_m = (_vector._indices(ctx, n, s, step) for ctx in trio)
+        u_kl, u_sw, u_m = (indices(spec, n, s, step) for spec in trio)
         return max(float(np.max(u_kl - u_sw)), float(np.max(u_sw - u_m)))
 
     worst_known = -math.inf

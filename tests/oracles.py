@@ -8,8 +8,9 @@ import math
 import mpmath
 import numpy as np
 
-from bandit_switch import PolicyState, indices, select_arm, update
+from bandit_switch import EmpiricalDistribution, indices
 from bandit_switch._rng import CH_REWARD, CH_TIE, mix64
+from bandit_switch._vector import _tie_break
 from bandit_switch.kinf import kinf
 from bandit_switch.verification import _ORACLE_BLOCK_BYTES
 
@@ -129,13 +130,15 @@ def grid_max(dist, mu: float, lam_grid) -> float:
 
 
 def scalar_episode(bandit, spec, horizon: int, seed: int, bins=None):
-    """One run by a plain per-step loop over the public one-run API, the
-    reference for ``run_episode``: each arm once, then the index policy,
-    with scalar-hashed uniforms and one reward drawn at a time.  Returns
+    """One run by a plain per-step loop over one run's (1, K) counts, sums
+    and empirical distributions, the reference for ``run_episode``: each
+    arm once, then the argmax of the public ``indices``, with
+    scalar-hashed uniforms and one reward drawn at a time.  Returns
     (trajectory, pulls, actions)."""
     key = mix64(seed)
     k = bandit.k
-    state = PolicyState.fresh(k, bins=bins)
+    n, s = np.zeros((1, k)), np.zeros((1, k))
+    dists = [EmpiricalDistribution(bins=bins) for _ in range(k)]
     trajectory = np.empty(horizon)
     actions = np.empty(horizon, dtype=np.int32)
     regret = 0.0
@@ -143,34 +146,41 @@ def scalar_episode(bandit, spec, horizon: int, seed: int, bins=None):
         if step <= k:
             a = step - 1
         else:
-            a = select_arm(spec, state, tie_u=unit_uniform(key, step, CH_TIE))
-        update(state, a, float(bandit.arms[a].quantile(unit_uniform(key, step, CH_REWARD))))
+            a = int(_tie_break(indices(spec, n, s, step - 1, dists), unit_uniform(key, step, CH_TIE))[0])
+        reward = float(bandit.arms[a].quantile(unit_uniform(key, step, CH_REWARD)))
+        n[0, a] += 1.0
+        s[0, a] += reward
+        dists[a]._push(reward)
         regret += bandit.gaps[a]
         trajectory[step - 1] = regret
         actions[step - 1] = a
-    return trajectory, state.counts[0].astype(np.int64), actions
+    return trajectory, n[0].astype(np.int64), actions
 
 
 def replay_checkpoints(bandit, seeds, actions, steps, specs):
     """The per-step reference for the index-ordering check's checkpoint
-    states: each logged run of ``actions`` (runs, T) stepped through the
-    one-run API, its rewards hashed one at a time by the scalar
+    states: each logged run of ``actions`` (runs, T) replayed on its own
+    (1, K) counts and sums, its rewards hashed one at a time by the scalar
     ``unit_uniform`` and pushed into the empirical distributions one by
     one.  Yields (run, step, counts, sums, dists, index vectors of
-    ``specs``) at each of ``steps``."""
+    ``specs`` on the distributions) at each of ``steps``."""
     targets = set(int(t) for t in steps)
     for r, seed in enumerate(seeds):
         key = mix64(seed)
-        state = PolicyState.fresh(bandit.k)
+        n, s = np.zeros((1, bandit.k)), np.zeros((1, bandit.k))
+        dists = [EmpiricalDistribution() for _ in range(bandit.k)]
         for step in range(1, actions.shape[1] + 1):
             a = int(actions[r, step - 1])
-            update(state, a, float(bandit.arms[a].quantile(unit_uniform(key, step, CH_REWARD))))
+            reward = float(bandit.arms[a].quantile(unit_uniform(key, step, CH_REWARD)))
+            n[0, a] += 1.0
+            s[0, a] += reward
+            dists[a]._push(reward)
             if step in targets:
                 yield (
                     r,
                     step,
-                    state.counts[0].copy(),
-                    state.sums[0].copy(),
-                    copy.deepcopy(state.dists),
-                    [indices(spec, state) for spec in specs],
+                    n[0].copy(),
+                    s[0].copy(),
+                    copy.deepcopy(dists),
+                    [indices(spec, n, s, step, dists)[0] for spec in specs],
                 )

@@ -159,6 +159,20 @@ def test_unknown_keys_and_presets_exit_2(tmp_path, capsys):
     assert main(["run", write_config(tmp_path, bad_policy, "d.json")]) == 2
 
 
+@pytest.mark.parametrize("label", [["a"], {"a": 1}, 7, ""], ids=["list", "dict", "int", "empty"])
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_non_string_policy_label_exits_2(tmp_path, capsys, command, label):
+    # an int label 7 would share the policy name 7 in the CSV with a label "7"
+    policies = [{"family": "ucb", "label": label}, {"family": "moss-anytime", "label": "7"}]
+    if command == "run":
+        cfg = dict(SMALL_CONFIG, policies=policies)
+    else:
+        cfg = {"preset": "fig2-left", "axis": "K", "values": [2], "runs": 2, "policies": policies}
+    assert main([command, write_config(tmp_path, cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "label" in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("*.csv"))
+
+
 def test_missing_config_file_exits_2(tmp_path):
     assert main(["run", str(tmp_path / "nope.json")]) == 2
 

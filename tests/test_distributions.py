@@ -133,6 +133,16 @@ def test_bins_mode_rounds_to_grid():
     assert d.atoms == [(0.1, 2), (0.9, 1)]
 
 
+@pytest.mark.parametrize("bins", [2.5, math.nan, True, 0, -3, "abc"], ids=repr)
+def test_bins_must_be_a_positive_integer(bins):
+    # bins = 2.5 would put the reward 1 at the atom 0.8, off the grid {0, 1/bins, ..., 1}
+    with pytest.raises(ValueError, match="bins must be an integer"):
+        EmpiricalDistribution(bins=bins)
+    with pytest.raises(ValueError, match="bins must be an integer"):
+        EmpiricalDistribution.from_observations([1.0, 0.3], bins=bins)
+    assert EmpiricalDistribution.from_observations([1.0, 0.3], bins="5").atoms == [(0.4, 1), (1.0, 1)]
+
+
 # ---------------------------------------------------------------------------
 # sampling
 

@@ -95,3 +95,23 @@ def test_import_fig1_left_build_and_verify_leave_the_slow_imports_unloaded():
     out = subprocess.run([sys.executable, "-c", _SLOW_IMPORTS_CODE], env=env, capture_output=True, text=True, check=True)
     loaded = [line for line in out.stdout.splitlines() if line.startswith("[")]
     assert loaded == ["[]"] * 4
+
+
+def test_the_names_the_replay_check_resolves_still_answer():
+    """``bench/checks.py::check_replay`` resolves ``simulator._policy_engine``
+    and ``simulator._chunk_worker`` with ``getattr(..., None)`` and skips its
+    ``replay-run`` check, silently, when either is missing or changes its
+    call.  This guard goes when ROADMAP item 7 frees these names."""
+    import numpy as np
+
+    from bandit_switch import BanditInstance, Bernoulli, Discrete, PolicySpec, Scenario, run_episode, simulator
+
+    spec = PolicySpec("klucb-switch-anytime")
+    binary = BanditInstance((Bernoulli(0.7), Bernoulli(0.4)))
+    wider = BanditInstance((Discrete((0.1, 0.9), (0.5, 0.5)), Bernoulli(0.4)))
+    for bandit, engine in ((binary, "vector"), (wider, "scalar")):
+        scenario = Scenario(bandit, 50, (spec,), runs=1, base_seed=3)
+        assert simulator._policy_engine(scenario, spec, "auto") == engine
+    grid, seed = (3, 10, 50), 11
+    replay = simulator._chunk_worker((binary, spec, 50, grid, [seed], "vector", None))[0]
+    assert replay.tobytes() == run_episode(binary, spec, 50, seed).trajectory[np.asarray(grid) - 1].tobytes()

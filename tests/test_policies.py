@@ -1,5 +1,7 @@
 """Index-policy layer: exploration functions, index formulas, switch
-rules, arm selection, and state updates."""
+rules, and arm selection.  A state is one run's pull counts and reward
+sums, arrays of shape (1, K), its time and each arm's empirical
+distribution, in the order ``indices`` takes them."""
 
 import math
 
@@ -8,19 +10,15 @@ import pytest
 
 from bandit_switch import (
     FAMILIES,
-    BanditInstance,
-    Bernoulli,
+    EmpiricalDistribution,
     PolicySpec,
-    PolicyState,
     indices,
     kinf,
     log_plus,
     moss_index,
     phi,
-    select_arm,
     switch_threshold,
     switch_value,
-    update,
 )
 from bandit_switch import _vector
 from bandit_switch.kinf import _bern_kl, klucb_index
@@ -112,7 +110,6 @@ def test_policy_spec_config_round_trip():
         PolicySpec("moss", horizon=1000),
         PolicySpec("klucb-switch-anytime", switch_exponent=8.0 / 9.0),
         PolicySpec("klucb-gauss", sigma=0.25),
-        PolicySpec("ucb", ucb_classic=True),
     ]
     for spec in specs:
         assert PolicySpec.from_config(spec.to_config()) == spec
@@ -121,68 +118,50 @@ def test_policy_spec_config_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# state updates
-
-
-def test_update_postconditions():
-    state = PolicyState.fresh(2)
-    update(state, 0, 1.0)
-    assert state.counts[0, 0] == 1
-    assert state.mean(0) == 1.0
-    update(state, 0, 0.2)
-    update(state, 0, 0.4)
-    assert state.mean(0) == pytest.approx((1.0 + 0.2 + 0.4) / 3.0, abs=1e-12)
-    assert state.t == 3
-    with pytest.raises(ValueError):
-        update(state, 0, 1.5)
-
-
-def test_counts_sum_to_time_after_seeded_run():
-    rng = np.random.default_rng(20)
-    bandit = BanditInstance((Bernoulli(0.7), Bernoulli(0.4), Bernoulli(0.1)))
-    spec = PolicySpec("moss-anytime")
-    tie_rng = np.random.default_rng(99)
-    state = PolicyState.fresh(3)
-    for step in range(1, 1001):
-        arm = step - 1 if step <= 3 else select_arm(spec, state, float(tie_rng.random()))
-        update(state, arm, float(bandit.arms[arm].quantile(rng.random())))
-        assert state.counts.sum() == state.t == step
-        assert state.mean(arm) == pytest.approx(state.dists[arm].mean, abs=1e-12)
-
-
-# ---------------------------------------------------------------------------
 # index semantics
 
 
+def state_of(rewards, t=None, bins=None):
+    """(n, s, t, dists) of one run whose arm a observed ``rewards[a]`` in
+    order; ``t`` is the number of pulls unless given."""
+    n = np.array([[len(xs) for xs in rewards]], dtype=float)
+    s = np.array([[sum(xs) for xs in rewards]], dtype=float)
+    dists = [EmpiricalDistribution.from_observations(xs, bins=bins) for xs in rewards]
+    return n, s, int(n.sum()) if t is None else t, dists
+
+
+def index(spec, state):
+    """Every arm's index on one run's ``state``, shape (K,)."""
+    return indices(spec, *state)[0]
+
+
+def select(spec, state, tie_u):
+    """The simulation loop's pick at ``state``: the argmax of the indices,
+    ties broken by the uniform ``tie_u``."""
+    return int(_vector._tie_break(indices(spec, *state), tie_u)[0])
+
+
 def make_state(counts, sums, t):
-    k = len(counts)
-    state = PolicyState.fresh(k)
-    for a in range(k):
-        n = counts[a]
-        if n == 0:
-            continue
-        mean = sums[a] / n
-        for _ in range(n):
-            update(state, a, mean)
-    state.t = t
-    return state
+    return state_of([[sums[a] / counts[a]] * counts[a] for a in range(len(counts))], t)
 
 
 def random_state(rng, k, extra_pulls, rewards=(0.0, 1.0)):
     # every arm pulled once, then ``extra_pulls`` pulls of arms drawn with
     # random (uneven) probabilities, so that pull counts differ widely; each
     # reward is drawn uniformly from ``rewards``
-    state = PolicyState.fresh(k)
+    observed = [[] for _ in range(k)]
     for arm in list(range(k)) + [int(a) for a in rng.choice(k, size=extra_pulls, p=rng.dirichlet(np.ones(k)))]:
-        update(state, arm, rewards[int(rng.integers(0, len(rewards)))])
-    return state
+        observed[arm].append(rewards[int(rng.integers(0, len(rewards)))])
+    return state_of(observed)
 
 
 def test_unpulled_arm_raises():
-    state = PolicyState.fresh(2)
-    update(state, 0, 0.5)
-    with pytest.raises(ValueError):
-        indices(PolicySpec("ucb"), state)
+    with pytest.raises(ValueError, match="arm 1 has not been pulled"):
+        index(PolicySpec("ucb"), state_of([[0.5], []]))
+    # a batch names the first arm that some run has not pulled
+    n, s = np.array([[1.0, 2.0, 1.0], [3.0, 1.0, 0.0]]), np.ones((2, 3))
+    with pytest.raises(ValueError, match="arm 2 has not been pulled"):
+        indices(PolicySpec("moss-anytime"), n, s, 5)
 
 
 def test_switch_equals_moss_branch_exactly():
@@ -191,15 +170,15 @@ def test_switch_equals_moss_branch_exactly():
     mo = PolicySpec("moss", horizon=t_hor)
     state = make_state([30, 8], [21.0, 3.2], 38)
     f = switch_value(t_hor, 2, 0.2)
-    assert np.all(state.counts > f)
-    assert np.array_equal(indices(sw, state), indices(mo, state))
+    assert np.all(state[0] > f)
+    assert np.array_equal(index(sw, state), index(mo, state))
 
 
 def test_klucb_threshold_zero_returns_mean():
     t_hor = 20
     spec = PolicySpec("klucb", horizon=t_hor)
     state = make_state([10, 10], [7.0, 3.0], 20)
-    assert indices(spec, state)[0] == pytest.approx(0.7, abs=1e-12)
+    assert index(spec, state)[0] == pytest.approx(0.7, abs=1e-12)
 
 
 def test_gauss_index_is_moss_with_matching_constant():
@@ -207,15 +186,12 @@ def test_gauss_index_is_moss_with_matching_constant():
     state = make_state([5, 3], [2.5, 2.1], 8)
     gauss = PolicySpec("klucb-gauss", sigma=0.5, horizon=100)
     mo = PolicySpec("moss", horizon=100)
-    assert indices(gauss, state) == pytest.approx(indices(mo, state), abs=1e-15)
+    assert index(gauss, state) == pytest.approx(index(mo, state), abs=1e-15)
 
 
-def test_ucb_classic_flag():
+def test_ucb_index_formula():
     state = make_state([4, 4], [2.0, 2.0], 8)
-    idx = indices(PolicySpec("ucb"), state)[0]
-    idx_classic = indices(PolicySpec("ucb", ucb_classic=True), state)[0]
-    assert idx == pytest.approx(0.5 + math.sqrt(math.log(8) / 8.0), abs=1e-12)
-    assert idx_classic == pytest.approx(0.5 + math.sqrt(2.0 * math.log(8) / 4.0), abs=1e-12)
+    assert index(PolicySpec("ucb"), state)[0] == pytest.approx(0.5 + math.sqrt(math.log(8) / 8.0), abs=1e-12)
 
 
 def test_pinsker_index_ordering_on_random_states():
@@ -233,10 +209,10 @@ def test_pinsker_index_ordering_on_random_states():
         for _ in range(30):
             k = int(rng.integers(2, 4))
             state = random_state(rng, k, int(rng.integers(0, 117)), rewards)
-            u_kl, u_sw, u_m = (indices(s, state) for s in (kl_t, sw_t, mo_t))
+            u_kl, u_sw, u_m = (index(s, state) for s in (kl_t, sw_t, mo_t))
             assert np.all(u_kl <= u_sw + 1e-9)
             assert np.all(u_sw <= u_m + 1e-9)
-            u_kla, u_swa, u_ma = (indices(s, state) for s in (kl_a, sw_a, mo_a))
+            u_kla, u_swa, u_ma = (index(s, state) for s in (kl_a, sw_a, mo_a))
             assert np.all(u_kla <= u_swa + 1e-9)
             assert np.all(u_swa <= u_ma + 1e-9)
 
@@ -252,9 +228,9 @@ def test_anytime_indices_below_horizon_phi_counterparts():
     mo_t_phi = PolicySpec("moss", horizon=t_hor, exploration="augmented_phi")
     for _ in range(20):
         state = random_state(rng, 2, int(rng.integers(0, t_hor - 1)))
-        assert state.t <= t_hor
-        assert np.all(indices(kl_a, state) <= indices(kl_t_phi, state) + 1e-9)
-        assert np.all(indices(mo_a, state) <= indices(mo_t_phi, state) + 1e-9)
+        assert state[2] <= t_hor
+        assert np.all(index(kl_a, state) <= index(kl_t_phi, state) + 1e-9)
+        assert np.all(index(mo_a, state) <= index(mo_t_phi, state) + 1e-9)
 
 
 def test_imed_prefers_undersampled_equal_mean_arm():
@@ -263,9 +239,9 @@ def test_imed_prefers_undersampled_equal_mean_arm():
     # and is selected
     state = make_state([20, 5], [10.0, 2.5], 25)
     spec = PolicySpec("imed")
-    s0, s1 = indices(spec, state)
+    s0, s1 = index(spec, state)
     assert s1 > s0
-    assert select_arm(spec, state, tie_u=0.0) == 1
+    assert select(spec, state, tie_u=0.0) == 1
 
 
 @pytest.mark.parametrize(
@@ -286,32 +262,58 @@ def test_kernel_empirical_branch_matches_bernoulli_branch(family, kwargs):
     ctx = _vector._Ctx(spec)
     rng = np.random.default_rng(24)
     for _ in range(40):
-        state = random_state(rng, int(rng.integers(2, 5)), int(rng.integers(0, 250)))
-        empirical = _vector._indices(ctx, state.counts, state.sums, state.t, state.dists)[0]
+        n, s, t, dists = random_state(rng, int(rng.integers(2, 5)), int(rng.integers(0, 250)))
+        empirical = indices(spec, n, s, t, dists)[0]
         pending = []
-        bernoulli = _vector._indices(ctx, state.counts, state.sums, state.t, None, pending)[0]
+        bernoulli = _vector._indices(ctx, n, s, t, None, pending)[0]
         if pending:  # imed, and a switch with every arm past its threshold, queue nothing
             _vector._invert_pending(pending)
         assert np.array_equal(empirical, bernoulli)
 
 
+def stack(states):
+    """One batch of one-run ``states``: counts and sums of shape (runs, K),
+    and the distributions in arm-major order, ``arm * runs + run``."""
+    n, s = np.vstack([st[0] for st in states]), np.vstack([st[1] for st in states])
+    return n, s, [st[3][a] for a in range(n.shape[1]) for st in states]
+
+
+@pytest.mark.parametrize("laws", ["bernoulli", "continuous"])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_batch_indices_equal_each_run_alone(family, laws):
+    # the kernel works cell by cell (imed's reference mean row by row), so
+    # a run's indices do not depend on the batch around it: Bernoulli
+    # states on the kernel's Bernoulli branch, and continuous states, whose
+    # cells mix laws on {0, 1} and wider ones, with their distributions
+    spec = PolicySpec(family, horizon=300) if family in ("moss", "klucb", "klucb-switch") else PolicySpec(family)
+    rng = np.random.default_rng(45)
+    for _ in range(6):
+        k, t = int(rng.integers(2, 5)), int(rng.integers(20, 300))
+        rewards = (0.0, 1.0) if laws == "bernoulli" else (0.0, 1.0, *rng.random(4).tolist())
+        states = [random_state(rng, k, int(rng.integers(0, 60)), rewards) for _ in range(int(rng.integers(2, 9)))]
+        n, s, dists = stack(states)
+        dists = None if laws == "bernoulli" else dists
+        batch = indices(spec, n, s, t, dists)
+        assert batch.shape == n.shape
+        for r, (n1, s1, _, d1) in enumerate(states):
+            alone = indices(spec, n1, s1, t, None if dists is None else d1)
+            assert batch[r].tobytes() == alone[0].tobytes(), (family, r)
+
+
 def test_binned_law_on_zero_takes_its_own_mean():
     # rewards 0.004 round to the atom 0 at bins = 50, so arm 0's law is the
     # point mass at 0 while s/n = 0.004; arm 1's law {0.6} is not binary
-    state = PolicyState.fresh(2, bins=50)
-    for arm, reward, pulls in ((0, 0.004, 2), (1, 0.6, 3)):
-        for _ in range(pulls):
-            update(state, arm, reward)
-    law = state.dists[0]
-    assert law.values.tolist() == [0.0] and state.sums[0, 0] / state.counts[0, 0] == 0.004
-    n = state.counts
-    d = _vector._explo("log_plus", state.t / (2 * n)) / n
-    klucb = indices(PolicySpec("klucb-anytime"), state)
+    state = state_of([[0.004] * 2, [0.6] * 3], bins=50)
+    n, s, t, dists = state
+    law = dists[0]
+    assert law.values.tolist() == [0.0] and s[0, 0] / n[0, 0] == 0.004
+    d = _vector._explo("log_plus", t / (2 * n)) / n
+    klucb = index(PolicySpec("klucb-anytime"), state)
     assert klucb[0] == -math.expm1(-d[0, 0]) == klucb_index(law, d[0, 0])
-    assert klucb[1] == klucb_index(state.dists[1], d[0, 1])
-    pmax = np.clip((state.sums / n).max(axis=1), 1e-9, 1.0 - 1e-9)
+    assert klucb[1] == klucb_index(dists[1], d[0, 1])
+    pmax = np.clip((s / n).max(axis=1), 1e-9, 1.0 - 1e-9)
     kl = np.array([[_bern_kl(0.0, pmax[0]), 0.0]])
-    assert np.array_equal(indices(PolicySpec("imed"), state), (-(n * kl + np.log(n)))[0])
+    assert np.array_equal(index(PolicySpec("imed"), state), (-(n * kl + np.log(n)))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -320,14 +322,14 @@ def test_binned_law_on_zero_takes_its_own_mean():
 
 def test_select_strict_argmax():
     state = make_state([3, 3], [2.7, 0.6], 6)
-    assert select_arm(PolicySpec("ucb"), state, tie_u=0.99) == 0
+    assert select(PolicySpec("ucb"), state, tie_u=0.99) == 0
 
 
 def test_tie_break_is_uniform():
     state = make_state([5, 5, 5], [2.0, 2.0, 2.0], 15)
     spec = PolicySpec("ucb")
     rng = np.random.default_rng(23)
-    picks = np.array([select_arm(spec, state, tie_u=float(rng.random())) for _ in range(10_000)])
+    picks = np.array([select(spec, state, tie_u=float(rng.random())) for _ in range(10_000)])
     freq = np.bincount(picks, minlength=3) / picks.size
     se = math.sqrt((1 / 3) * (2 / 3) / picks.size)
     assert np.all(np.abs(freq - 1.0 / 3.0) <= 3.0 * se)
@@ -339,25 +341,7 @@ def test_argmax_invariant_to_constant_mean_shift():
     spec = PolicySpec("moss", horizon=100)
     base = make_state([4, 9, 2], [2.0, 5.4, 0.6], 15)
     shifted = make_state([4, 9, 2], [2.0 + 4 * 0.1, 5.4 + 9 * 0.1, 0.6 + 2 * 0.1], 15)
-    assert select_arm(spec, base, tie_u=0.5) == select_arm(spec, shifted, tie_u=0.5)
-
-
-def test_determinism_for_fixed_seed_and_rewards():
-    bandit = BanditInstance((Bernoulli(0.6), Bernoulli(0.5)))
-    spec = PolicySpec("klucb-switch-anytime", switch_exponent=8.0 / 9.0)
-
-    def run():
-        reward_rng = np.random.default_rng(77)
-        tie_rng = np.random.default_rng(5)
-        state = PolicyState.fresh(2)
-        actions = []
-        for step in range(1, 200):
-            arm = step - 1 if step <= 2 else select_arm(spec, state, float(tie_rng.random()))
-            update(state, arm, float(bandit.arms[arm].quantile(reward_rng.random())))
-            actions.append(arm)
-        return actions
-
-    assert run() == run()
+    assert select(spec, base, tie_u=0.5) == select(spec, shifted, tie_u=0.5)
 
 
 def _rank_rule(scores, u, minimize):
@@ -401,31 +385,31 @@ def random_state_with_twins(rng, k, extra_pulls):
     # copies of arm 0 (the same rewards in the same order), and in half of
     # the states every arm is, so that every family ties arms exactly
     twins = k if rng.random() < 0.5 else 2
-    state = PolicyState.fresh(k)
+    observed = [[] for _ in range(k)]
     for arm in [0, *range(twins, k)] + [int(a) for a in rng.choice([0, *range(twins, k)], size=extra_pulls)]:
         x = float(rng.choice([0.0, 1.0, rng.random()]))
         for a in range(twins) if arm == 0 else (arm,):
-            update(state, a, x)
-    return state
+            observed[a].append(x)
+    return state_of(observed)
 
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_every_family_maximises_its_index(family):
-    # one score direction: select_arm is the rank rule's argmax of indices,
+    # one score direction: the pick is the rank rule's argmax of indices,
     # and imed's index is its score negated, -(N kinf + ln N)
     spec = PolicySpec(family, horizon=400) if family in ("moss", "klucb", "klucb-switch") else PolicySpec(family)
     rng = np.random.default_rng(43)
     tied_states = 0
     for _ in range(30):
         state = random_state_with_twins(rng, int(rng.integers(2, 6)), int(rng.integers(0, 120)))
-        idx = indices(spec, state)
+        idx = index(spec, state)
         tied_states += int(np.count_nonzero(idx == idx.max()) > 1)
         for u in rng.random(4):
-            assert select_arm(spec, state, float(u)) == _rank_rule(idx[None], u, False)[0]
+            assert select(spec, state, float(u)) == _rank_rule(idx[None], u, False)[0]
         if family == "imed":
-            n = state.counts[0]
-            mean = state.sums[0] / n
+            n, s, _, dists = state
+            n, mean = n[0], s[0] / n[0]
             pmax = float(np.clip(mean.max(), 1e-9, 1.0 - 1e-9))
-            kl = np.array([kinf(d, pmax).value if m < pmax else 0.0 for d, m in zip(state.dists, mean)])
+            kl = np.array([kinf(d, pmax).value if m < pmax else 0.0 for d, m in zip(dists, mean)])
             assert np.array_equal(idx, -(n * kl + np.log(n)))
     assert tied_states > 0

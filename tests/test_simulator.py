@@ -507,11 +507,10 @@ def test_empirical_batch_equals_its_runs_one_at_a_time(spec, bins):
 
 
 def _roster(horizon):
-    # every vector family and option: imed, both ucb bonuses, the
-    # known-horizon trio, augmented_phi, both switch exponents
+    # every vector family and option: imed, ucb, the known-horizon trio,
+    # augmented_phi, both switch exponents
     return (
         PolicySpec("imed"),
-        PolicySpec("ucb", ucb_classic=True, label="ucb-classic"),
         PolicySpec("ucb"),
         PolicySpec("klucb", horizon=horizon),
         PolicySpec("klucb-switch", horizon=horizon),

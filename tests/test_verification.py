@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from bandit_switch import BanditInstance, Bernoulli, EmpiricalDistribution, PolicySpec, TruncatedGaussian
+from bandit_switch import BanditInstance, Bernoulli, EmpiricalDistribution, PolicySpec, TruncatedGaussian, indices
 from bandit_switch import _vector
 from bandit_switch.kinf import bernoulli_kl, kinf_weighted
 from bandit_switch.simulator import run_seed
@@ -194,7 +194,7 @@ def assert_checkpoints_equal_the_replay(bandit, seeds, actions, steps) -> int:
     observations."""
     specs = ordering_specs(actions.shape[1])
     rebuilt = {
-        step: (n, s, [_vector._indices(_vector._Ctx(spec), n, s, step) for spec in specs])
+        step: (n, s, [indices(spec, n, s, step) for spec in specs])
         for step, n, s in _checkpoint_states(bandit, seeds, actions, steps)
     }
     assert sorted(rebuilt) == sorted(int(step) for step in steps)
@@ -280,7 +280,7 @@ def test_grid_oracle_reports_the_blocks_it_evaluated():
 
 
 def _oracle_laws(n_dists):
-    return [(EmpiricalDistribution(values, counts), mu) for _, values, counts, mu in _oracle_jobs(n_dists, 20_240_101)]
+    return [(dist, mu) for _, dist, mu in _oracle_jobs(n_dists, 20_240_101)]
 
 
 def test_grid_oracle_maximum_equals_the_exhaustive_scan_on_the_c1_laws():
