@@ -15,6 +15,8 @@ adequate for Monte-Carlo work.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 _MASK = (1 << 64) - 1
@@ -27,33 +29,32 @@ CH_REWARD = 0
 CH_TIE = 1
 
 
-def mix64(z: int) -> int:
-    """splitmix64 finalizer; a bijection on 64-bit integers."""
-    z &= _MASK
-    z ^= z >> 30
-    z = (z * _MUL1) & _MASK
-    z ^= z >> 27
-    z = (z * _MUL2) & _MASK
-    z ^= z >> 31
-    return z
+def _u64(x) -> np.ndarray:
+    """``x`` mod 2^64 as a new uint64 array of at least one dimension:
+    from an integer, or from an integer array, whose entries wrap."""
+    return np.array(x if isinstance(x, np.ndarray) else operator.index(x) & _MASK, dtype=np.uint64, ndmin=1)
 
 
-def derive_key(seed: int, *path: int) -> int:
-    """Hash a base seed and an integer path into a 64-bit stream key.
+def derive_key(seed: int, *path) -> np.ndarray:
+    """Hash a base seed and an integer path into 64-bit stream keys, as a
+    uint64 array: each path entry is an integer or an integer array, and
+    the arrays broadcast together, giving one key per entry.  Every input
+    counts mod 2^64.
 
-    ``derive_key(seed, policy_index, run_index)`` is the canonical
-    per-run seed used by the Monte-Carlo harness.
+    ``derive_key(seed, policy_index, run_indices)`` gives the canonical
+    per-run seeds used by the Monte-Carlo harness.
     """
-    h = mix64(seed ^ _GAMMA)
+    h = _mix64_inplace(_u64(seed) ^ np.uint64(_GAMMA))
     for p in path:
-        h = mix64((h + _GAMMA) ^ mix64(p))
+        h = _mix64_inplace((h + np.uint64(_GAMMA)) ^ _mix64_inplace(_u64(p)))
     return h
 
 
 def unit_uniform_array(keys: np.ndarray, step, channel: int) -> np.ndarray:
     """Uniform in [0, 1) attached to each (key, step, channel) triple, over
     an array of uint64 keys: the top 53 bits of
-    ``mix64(key ^ mix64(2 * step + channel))``, scaled by 2^-53.
+    ``mix64(key ^ mix64(2 * step + channel))``, scaled by 2^-53, where
+    ``mix64`` is the splitmix64 finalizer of :func:`_mix64_inplace`.
 
     ``step`` is an integer, giving one value per key, or a 1-D array of
     steps, giving one row per step: row ``i`` holds the uniforms of step
@@ -70,14 +71,15 @@ def unit_uniform_array(keys: np.ndarray, step, channel: int) -> np.ndarray:
 
 
 def mix64_array(z: np.ndarray) -> np.ndarray:
-    """Vectorised :func:`mix64` for uint64 arrays, on one copy of ``z``:
-    ``z`` itself is never written."""
+    """The splitmix64 finalizer of every entry of ``z``, integers below
+    2^64, on one uint64 copy of it: ``z`` itself is never written."""
     return _mix64_inplace(np.array(z, dtype=np.uint64))
 
 
 def _mix64_inplace(z: np.ndarray) -> np.ndarray:
-    """:func:`mix64` of every entry of the uint64 array ``z``, written over
-    it; holds one shift temporary besides ``z``."""
+    """The splitmix64 finalizer, a bijection on 64-bit integers, of every
+    entry of the uint64 array ``z``, written over it; holds one shift
+    temporary besides ``z``.  The package's only implementation of it."""
     z ^= z >> np.uint64(30)
     z *= np.uint64(_MUL1)
     z ^= z >> np.uint64(27)

@@ -274,14 +274,12 @@ def _indices(ctx: _Ctx, n: np.ndarray, s: np.ndarray, t: int, dists=None, pendin
     if fam == "ucb":
         c = math.log(t) / 2.0
         return mean + np.sqrt(c / n)
+    ref = t if spec.horizon is None else spec.horizon  # only the families that read a horizon take one
     if fam in ("moss", "moss-anytime"):
-        ratio = (spec.horizon if fam == "moss" else t) / k
-        return _moss(mean, n, ratio, spec.exploration)
+        return _moss(mean, n, ref / k, spec.exploration)
     if fam == "klucb-gauss":
-        ref = spec.horizon if spec.horizon is not None else t
         return mean + np.sqrt(2.0 * spec.sigma**2 * _explo(spec.exploration, ref / (k * n)) / n)
     if fam == "klucb-exp":
-        ref = spec.horizon if spec.horizon is not None else t
         d = _explo(spec.exploration, ref / (k * n)) / n
         return exp_klucb(np.maximum(mean, 1e-12), d)
     if fam == "imed":
@@ -299,11 +297,9 @@ def _indices(ctx: _Ctx, n: np.ndarray, s: np.ndarray, t: int, dists=None, pendin
                 kl.T.flat[c] = kinf(dists[c], float(mu.flat[c])).value
         return -(n * kl + np.log(n))
     if fam in ("klucb", "klucb-anytime"):  # every cell on the KL branch
-        ref = spec.horizon if fam == "klucb" else t
         out, d = np.empty_like(mean), _explo(spec.exploration, ref / (k * n)) / n
         cells = np.arange(n.size)
     elif fam in ("klucb-switch", "klucb-switch-anytime"):
-        ref = spec.horizon if fam == "klucb-switch" else t
         e = _explo(spec.exploration, ref / k / n)  # the budget both branches read
         out, d = mean + np.sqrt(e / (2.0 * n)), e / n
         cells = np.flatnonzero((n <= switch_value(ref, k, spec.switch_exponent)).T)
@@ -347,7 +343,7 @@ def simulate(
     width, extra = divmod(runs, len(specs))
     if extra:
         raise ValueError(f"{runs} seeds do not split into {len(specs)} equal blocks")
-    keys = mix64_array(np.asarray(seeds, dtype=np.uint64))
+    keys = mix64_array(seeds)
     arms, gaps = bandit.arms, bandit.gaps
     bern_p = np.array([a.p for a in arms]) if all(isinstance(a, Bernoulli) for a in arms) else None
 

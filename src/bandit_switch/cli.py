@@ -102,12 +102,14 @@ def _fmt(x) -> str:
 
 def _load_json(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except FileNotFoundError:
-        raise ConfigurationError(f"config file not found: {path}")
+    except OSError as exc:  # missing, or a directory
+        raise ConfigurationError(f"cannot read config file {path}: {exc.strerror}")
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"malformed JSON in {path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"config file {path} is not UTF-8: byte {exc.start}: {exc.reason}")
 
 
 def _expand_run_config(cfg: dict) -> dict:
@@ -116,6 +118,8 @@ def _expand_run_config(cfg: dict) -> dict:
         raise ConfigurationError("run config must be a JSON object")
     if "config" in cfg:  # meta.json round-trip wrapper
         cfg = cfg["config"]
+        if not isinstance(cfg, dict):
+            raise ConfigurationError(f"the 'config' key must hold a JSON object, got {cfg!r}")
     if "preset" in cfg:
         name = cfg["preset"]
         if not isinstance(name, str) or name not in PRESETS:
@@ -142,9 +146,7 @@ def _scenario_from_config(cfg: dict) -> Scenario:
             grid = default_record_grid(bandit.k, horizon)
         elif grid == "full":
             grid = tuple(range(1, horizon + 1))
-        elif isinstance(grid, list) and grid:
-            grid = tuple(positive_int(t, "record_grid entry") for t in grid)
-        else:
+        elif not (isinstance(grid, list) and grid):  # Scenario checks each entry
             raise ConfigurationError(f'record_grid must be "geometric", "full" or a non-empty list, got {grid!r}')
         return Scenario(
             bandit=bandit,

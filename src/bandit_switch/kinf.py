@@ -71,11 +71,6 @@ class KinfWitness:
     mass_at_one: float
 
 
-def _check_mu(mu: float) -> None:
-    if not 0.0 < mu < 1.0:
-        raise ValueError(f"mu must lie in the open interval (0, 1), got {mu!r}")
-
-
 def _bern_kl(p, q):
     """kl(p, q) between Bernoulli laws, elementwise: 0 ln(0/q) = 0, and
     p ln(p/0) = +inf for p > 0."""
@@ -94,42 +89,84 @@ def bernoulli_kl(p: float, q: float) -> float:
     return float(_bern_kl(np.float64(p), np.float64(q)))
 
 
-def _z(values: np.ndarray, mu: float) -> np.ndarray:
-    return (values - mu) / (1.0 - mu)
+# Below this many atoms a plain-Python inner loop beats numpy call overhead.
+_SMALL_ATOMS = 8
+
+
+def _dual(v: np.ndarray, w: np.ndarray, mu: float) -> tuple:
+    """The dual at ``mu`` of the law with atoms ``v`` and weights ``w``, the
+    package's one evaluation of it: with z = (x - mu)/(1 - mu) and t = z/(1
+    - lam z), the functions H(lam) = E[ln(1 - lam z)] and lam -> (H', H'')
+    = (-E[t], -E[t^2]), pure Python at up to ``_SMALL_ATOMS`` atoms and
+    numpy above, and the cap on lam: 1, or ``_LAMBDA_CAP`` when the largest
+    z rounds to 1 (an atom at 1 or an ulp below), where H(1) = -inf.  Atoms
+    outside [0, 1], weights that are negative or do not sum to 1 within
+    1e-9, NaN anywhere and mu outside (0, 1) raise a :class:`ValueError`."""
+    if not 0.0 < mu < 1.0:
+        raise ValueError(f"mu must lie in the open interval (0, 1), got {mu!r}")
+    if v.size <= _SMALL_ATOMS:
+        xs, ws = v.tolist(), w.tolist()
+        valid = all(0.0 <= x <= 1.0 for x in xs) and all(p >= 0.0 for p in ws)
+        top, total = max(xs, default=0.0), sum(ws)  # an empty law's weights sum to 0
+        zs = [(x - mu) / (1.0 - mu) for x in xs]
+
+        def objective(lam: float) -> float:
+            return sum(wi * math.log1p(-lam * zi) for zi, wi in zip(zs, ws))
+
+        def grad_curv(lam: float) -> tuple:
+            d1 = d2 = 0.0
+            for zi, wi in zip(zs, ws):
+                t = zi / (1.0 - lam * zi)
+                d1 -= wi * t
+                d2 -= wi * t * t
+            return d1, d2
+
+    else:
+        top, total = float(v.max()), float(w.sum())
+        valid = float(v.min()) >= 0.0 and top <= 1.0 and float(w.min()) >= 0.0
+        z = (v - mu) / (1.0 - mu)
+
+        def objective(lam: float) -> float:
+            return float(np.dot(w, np.log1p(-lam * z)))
+
+        def grad_curv(lam: float) -> tuple:
+            t = z / (1.0 - lam * z)
+            return -float(np.dot(w, t)), -float(np.dot(w, t * t))
+
+    if not (valid and abs(total - 1.0) <= 1e-9):
+        raise ValueError(f"kinf needs atoms in [0, 1] and probability weights, got atoms {v!r} and weights {w!r}")
+    return objective, grad_curv, _LAMBDA_CAP if (top - mu) / (1.0 - mu) >= 1.0 else 1.0
+
+
+def _h(nu: EmpiricalDistribution, mu: float, lam: float, order: int) -> float:
+    """H (``order`` 0) or H' (1) of ``nu`` at ``lam`` by :func:`_dual`; -inf
+    at lam = 1 when the cap is below it."""
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError("lambda must lie in [0, 1]")
+    objective, grad_curv, cap = _dual(nu.values, nu.weights, mu)
+    if lam == 1.0 and cap < 1.0:
+        return -math.inf
+    return grad_curv(lam)[0] if order else objective(lam)
 
 
 def h_value(nu: EmpiricalDistribution, mu: float, lam: float) -> float:
-    """The dual objective H(lam) = E[ln(1 - lam (X - mu)/(1 - mu))].
+    """The dual objective H(lam) = E[ln(1 - lam (X - mu)/(1 - mu))], as the
+    solver evaluates it.
 
     Finite for lam < 1; equals -inf at lam = 1 iff ``nu`` has an atom whose
     z = (x - mu)/(1 - mu) rounds to 1: an atom at 1, or one an ulp below.
     """
-    _check_mu(mu)
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lambda must lie in [0, 1]")
-    z = _z(nu.values, mu)
-    if lam == 1.0 and z.size and z[-1] >= 1.0:
-        return -math.inf
-    return float(np.dot(nu.weights, np.log1p(-lam * z)))
+    return _h(nu, mu, lam, 0)
 
 
 def h_derivative(nu: EmpiricalDistribution, mu: float, lam: float) -> float:
-    """Closed-form H'(lam) = -E[ z / (1 - lam z) ] with z = (X-mu)/(1-mu).
+    """Closed-form H'(lam) = -E[ z / (1 - lam z) ] with z = (X-mu)/(1-mu),
+    as the solver evaluates it.
 
     At lam = 1 with an atom at 1 (z rounds to 1, as in ``h_value``) the
     derivative diverges; a -inf sentinel is returned.
     """
-    _check_mu(mu)
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lambda must lie in [0, 1]")
-    z = _z(nu.values, mu)
-    if lam == 1.0 and z.size and z[-1] >= 1.0:
-        return -math.inf
-    return -float(np.dot(nu.weights, z / (1.0 - lam * z)))
-
-
-# Below this many atoms a plain-Python inner loop beats numpy call overhead.
-_SMALL_ATOMS = 8
+    return _h(nu, mu, lam, 1)
 
 
 def kinf_weighted(values, weights, mu: float) -> KinfResult:
@@ -139,44 +176,17 @@ def kinf_weighted(values, weights, mu: float) -> KinfResult:
     sign of H' and a bisection step replaces any Newton step that would
     leave it.  Stops once |H'| < 1e-11 or the bracket is narrower than
     1e-12; never raises on slow convergence (``converged`` is reported).
+    Atoms outside [0, 1], negative weights, weights that do not sum to 1
+    within 1e-9, and NaN in either raise a :class:`ValueError`.
     """
-    _check_mu(mu)
     v = np.asarray(values, dtype=float)
     w = np.asarray(weights, dtype=float)
-    if v.size == 0:
-        raise ValueError("kinf of an empty distribution")
+    objective, grad_curv, cap = _dual(v, w, mu)
     m = float(np.dot(v, w))
     if m >= mu:
         return KinfResult(0.0, 0.0, 0, True)
 
-    atom_at_one = (float(v.max()) - mu) / (1.0 - mu) >= 1.0  # z rounds to 1 also an ulp below 1
-    if v.size <= _SMALL_ATOMS:
-        zs = [(x - mu) / (1.0 - mu) for x in v.tolist()]
-        ws = w.tolist()
-
-        def grad_curv(lam: float) -> tuple:
-            d1 = 0.0
-            d2 = 0.0
-            for zi, wi in zip(zs, ws):
-                t = zi / (1.0 - lam * zi)
-                d1 -= wi * t
-                d2 -= wi * t * t
-            return d1, d2
-
-        def objective(lam: float) -> float:
-            return sum(wi * math.log1p(-lam * zi) for zi, wi in zip(zs, ws))
-
-    else:
-        z = _z(v, mu)
-
-        def grad_curv(lam: float) -> tuple:
-            t = z / (1.0 - lam * z)
-            return -float(np.dot(w, t)), -float(np.dot(w, t * t))
-
-        def objective(lam: float) -> float:
-            return float(np.dot(w, np.log1p(-lam * z)))
-
-    hi = _LAMBDA_CAP if atom_at_one else 1.0
+    hi = cap
     d_hi, _ = grad_curv(hi)
     if d_hi >= 0.0:
         # Maximum sits on the boundary; only reachable without an atom at 1.
@@ -200,7 +210,7 @@ def kinf_weighted(values, weights, mu: float) -> KinfResult:
             break
         step = lam - d1 / d2  # d2 < 0 by strict concavity
         lam = step if lo < step < hi else 0.5 * (lo + hi)
-    lam = min(max(lam, 0.0), _LAMBDA_CAP if atom_at_one else 1.0)
+    lam = min(max(lam, 0.0), cap)
     return KinfResult(max(objective(lam), 0.0), lam, iterations, converged)
 
 
@@ -213,24 +223,16 @@ def kinf_witness(nu: EmpiricalDistribution, mu: float, result: KinfResult) -> Ki
     """Optimal distribution achieving ``result``: reweight each atom of
     ``nu`` by 1 / (1 - lam* (x - mu)/(1 - mu)) and park the remaining mass
     (non-zero only when lam* = 1) on the point 1."""
-    _check_mu(mu)
     if not result.converged:
         raise ValueError("witness requires a converged solver result")
     lam = result.lambda_star
-    v = nu.values
-    z = _z(v, mu)
-    if lam == 1.0 and z.size and z[-1] >= 1.0:
+    if h_value(nu, mu, lam) == -math.inf:
         raise ValueError("inconsistent result: lambda* = 1 with an atom at 1")
-    w = nu.weights
+    v, w = nu.values, nu.weights
+    z = (v - mu) / (1.0 - mu)
     dens = 1.0 - lam * z
     base = w / dens
-    mass_at_one = 1.0 - float(base.sum())
-    if mass_at_one < 0.0:
-        mass_at_one = 0.0
-    return KinfWitness(
-        base_atoms=tuple((float(x), float(b)) for x, b in zip(v, base)),
-        mass_at_one=mass_at_one,
-    )
+    return KinfWitness(tuple((float(x), float(b)) for x, b in zip(v, base)), max(1.0 - float(base.sum()), 0.0))
 
 
 def klucb_index(nu: EmpiricalDistribution, threshold: float) -> float:

@@ -65,6 +65,7 @@ FAMILIES = (
 EXPLORATIONS = ("log_plus", "augmented_phi", "log_t")
 
 _NEEDS_HORIZON = {"moss", "klucb", "klucb-switch"}
+_READS_HORIZON = _NEEDS_HORIZON | {"klucb-exp", "klucb-gauss"}
 _SWITCH = {"klucb-switch", "klucb-switch-anytime"}
 _NEEDS_DISTS = {"klucb", "klucb-anytime", "klucb-switch", "klucb-switch-anytime", "imed"}
 
@@ -74,9 +75,9 @@ class PolicySpec:
     """Configuration of one index policy.
 
     ``horizon`` is required for the non-anytime families (moss, klucb,
-    klucb-switch) and ignored by the others except klucb-exp/klucb-gauss,
-    which use the horizon ratio when it is set and the running time ratio
-    otherwise.
+    klucb-switch), optional for klucb-exp/klucb-gauss, which use the
+    horizon ratio when it is set and the running time ratio otherwise, and
+    rejected by the others, which never read it.
     """
 
     family: str
@@ -98,6 +99,8 @@ class PolicySpec:
         if self.family in _NEEDS_HORIZON and self.horizon is None:
             raise ValueError(f"family {self.family!r} requires a horizon")
         if self.horizon is not None:
+            if self.family not in _READS_HORIZON:
+                raise ValueError(f"family {self.family!r} takes no horizon, got {self.horizon!r}")
             object.__setattr__(self, "horizon", positive_int(self.horizon, "policy horizon"))
         if self.family in _SWITCH and not 0.0 < self.switch_exponent < 1.0:
             raise ValueError("switch exponent must lie in (0, 1)")

@@ -98,7 +98,8 @@ class Scenario:
         object.__setattr__(self, "policies", tuple(self.policies))
         if self.bins is not None:
             object.__setattr__(self, "bins", positive_int(self.bins, "bins"))
-        grid = tuple(self.record_grid) or default_record_grid(self.bandit.k, self.horizon)
+        grid = tuple(positive_int(t, "record_grid entry") for t in self.record_grid)
+        grid = grid or default_record_grid(self.bandit.k, self.horizon)
         if list(grid) != sorted(set(grid)):
             raise ConfigurationError("record_grid must be strictly increasing")
         if grid[0] < 1 or grid[-1] > self.horizon:
@@ -149,7 +150,7 @@ class RegretCurve:
 
 def run_seed(base_seed: int, policy_index: int, run_index: int) -> int:
     """Per-run seed: a 64-bit split of (base seed, policy, run)."""
-    return derive_key(base_seed, policy_index, run_index)
+    return int(derive_key(base_seed, policy_index, run_index)[0])
 
 
 def run_episode(
@@ -258,7 +259,7 @@ def monte_carlo(scenario: Scenario, parallelism: int = 1) -> RegretCurve:
         n = counts[eng] = _chunk_count(runs, len(members), k, scenario.horizon, parallelism, eng)
         bounds = [runs * i // n for i in range(n + 1)]  # chunks of at most ceil(runs / n) runs
         for lo, hi in zip(bounds[:-1], bounds[1:]):
-            seeds = [run_seed(scenario.base_seed, p, r) for p in members for r in range(lo, hi)]
+            seeds = derive_key(scenario.base_seed, np.array(members)[:, None], np.arange(lo, hi)).ravel()  # rows policy-major
             batch = tuple(specs[p] for p in members)
             jobs.append((scenario.bandit, batch, scenario.horizon, grid, seeds, eng, scenario.bins))
             owners.append((members, lo, hi))

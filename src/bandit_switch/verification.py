@@ -17,11 +17,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rng import CH_REWARD, mix64_array, unit_uniform_array
+from ._rng import CH_REWARD, derive_key, mix64_array, unit_uniform_array
 from .distributions import BanditInstance, Bernoulli, EmpiricalDistribution
 from .kinf import bernoulli_kl, kinf, kinf_weighted, klucb_index
 from .policies import PolicySpec, indices
-from .simulator import Scenario, _sorted_unique, gap_profile, monte_carlo, run_seed
+from .simulator import Scenario, _sorted_unique, gap_profile, monte_carlo
 from . import _vector
 
 __all__ = [
@@ -104,14 +104,15 @@ def _band_point(label: str, empirical: float, lo: float, hi: float, stderr: floa
 # closed-form constants and special functions
 
 
-BOUND_IDS = (
-    "switch-known-horizon",
-    "switch-anytime",
-    "moss",
-    "moss-anytime",
-    "moss-anytime-augmented",
-    "minimax-lower",
-)
+# Constant C of each distribution-free bound (K - 1) + C sqrt(K T).
+_BOUND_CONSTANTS = {
+    "switch-known-horizon": 23.0,
+    "switch-anytime": 44.0,
+    "moss": 17.0,
+    "moss-anytime": 30.0,
+    "moss-anytime-augmented": 33.0,
+}
+BOUND_IDS = (*_BOUND_CONSTANTS, "minimax-lower")
 
 
 def theoretical_bounds(k: int, horizon: int, bound_id: str) -> float:
@@ -120,16 +121,8 @@ def theoretical_bounds(k: int, horizon: int, bound_id: str) -> float:
     if k < 1 or horizon < 1:
         raise ValueError("k and horizon must be >= 1")
     root = math.sqrt(k * horizon)
-    if bound_id == "switch-known-horizon":
-        return (k - 1) + 23.0 * root
-    if bound_id == "switch-anytime":
-        return (k - 1) + 44.0 * root
-    if bound_id == "moss":
-        return (k - 1) + 17.0 * root
-    if bound_id == "moss-anytime":
-        return (k - 1) + 30.0 * root
-    if bound_id == "moss-anytime-augmented":
-        return (k - 1) + 33.0 * root
+    if bound_id in _BOUND_CONSTANTS:
+        return (k - 1) + _BOUND_CONSTANTS[bound_id] * root
     if bound_id == "minimax-lower":
         return min(root, float(horizon)) / 20.0
     raise ValueError(f"unknown bound id {bound_id!r}; known: {BOUND_IDS}")
@@ -530,7 +523,7 @@ def _checkpoint_states(bandit: BanditInstance, seeds, actions: np.ndarray, steps
     {0, 1}, so the sums are exact and a cell's law is its count of ones."""
     if not all(arm.support_binary for arm in bandit.arms):
         raise ValueError("checkpoint states are rebuilt for arms supported on {0, 1} only")
-    keys = mix64_array(np.asarray(seeds, dtype=np.uint64))
+    keys = mix64_array(seeds)
     u = unit_uniform_array(keys, np.arange(1, actions.shape[1] + 1), CH_REWARD).T
     steps = np.asarray(steps)
     n = np.empty((steps.size, len(seeds), bandit.k))
@@ -565,7 +558,7 @@ def index_ordering_check(
     known = tuple(PolicySpec(family, horizon=horizon) for family in ("klucb", "klucb-switch", "moss"))
     anytime = tuple(PolicySpec(family) for family in ("klucb-anytime", "klucb-switch-anytime", "moss-anytime"))
 
-    seeds = [run_seed(seed, 0, r) for r in range(runs)]
+    seeds = derive_key(seed, 0, np.arange(runs))
     _, actions = _vector.simulate(bandit, driver, horizon, seeds, (horizon,), record_actions=True)
     sample_steps = _sorted_unique(np.geomspace(k + 1, horizon, checkpoints_per_run).astype(int))
 

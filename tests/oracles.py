@@ -1,6 +1,8 @@
 """Slow but obviously-correct references that the library's inversions,
-its uniform hash and its simulation loop are tested against.  They are
-independent implementations, not used by the library itself."""
+its seed and uniform hashes and its simulation loop are tested against.
+They are independent implementations, not used by the library itself:
+the hash below is written here on Python integers, and nothing in this
+module imports one of the library's."""
 
 import copy
 import math
@@ -9,10 +11,35 @@ import mpmath
 import numpy as np
 
 from bandit_switch import EmpiricalDistribution, indices
-from bandit_switch._rng import CH_REWARD, CH_TIE, mix64
+from bandit_switch._rng import CH_REWARD, CH_TIE
 from bandit_switch._vector import _tie_break
 from bandit_switch.kinf import kinf
 from bandit_switch.verification import _ORACLE_BLOCK_BYTES
+
+
+_MASK = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def mix64(z: int) -> int:
+    """The splitmix64 finalizer (Stafford mix 13) on one Python integer,
+    taken mod 2^64: the bit-exact reference for ``_rng._mix64_inplace``."""
+    z &= _MASK
+    z ^= z >> 30
+    z = (z * 0xBF58476D1CE4E5B9) & _MASK
+    z ^= z >> 27
+    z = (z * 0x94D049BB133111EB) & _MASK
+    z ^= z >> 31
+    return z
+
+
+def derive_key(seed: int, *path: int) -> int:
+    """The 64-bit key of a base seed and an integer path, chained one
+    Python-integer hash at a time: the reference for ``_rng.derive_key``."""
+    h = mix64(seed ^ _GAMMA)
+    for p in path:
+        h = mix64((h + _GAMMA) ^ mix64(p))
+    return h
 
 
 def unit_uniform(key: int, step: int, channel: int) -> float:

@@ -146,6 +146,31 @@ def test_malformed_json_exits_2(tmp_path):
     assert main(["run", str(path)]) == 2
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("case", ["missing", "directory", "not-utf-8"])
+def test_an_unreadable_config_file_exits_2_and_names_it(tmp_path, capsys, command, case):
+    path = tmp_path / "config.json"
+    if case == "directory":
+        path.mkdir()
+    elif case == "not-utf-8":
+        path.write_bytes(b'{"preset": "fig2-left", "x": "\xff"}')
+    assert main([command, str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("wrapped", [5, [[1]], "fig1-left"], ids=["int", "nested-list", "string"])
+def test_a_config_key_that_holds_no_object_exits_2(tmp_path, capsys, wrapped):
+    assert main(["run", write_config(tmp_path, {"config": wrapped}), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "'config'" in capsys.readouterr().err
+
+
+def test_a_horizon_on_an_anytime_policy_exits_2(tmp_path, capsys):
+    cfg = dict(SMALL_CONFIG, policies=[{"family": "klucb-anytime", "horizon": 100}])
+    assert main(["run", write_config(tmp_path, cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "takes no horizon" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "regret.csv").exists()
+
+
 def test_unknown_keys_and_presets_exit_2(tmp_path, capsys):
     assert main(["run", write_config(tmp_path, dict(SMALL_CONFIG, bogus=1), "a.json")]) == 2
     assert main(["run", write_config(tmp_path, {"preset": "fig9-up"}, "b.json")]) == 2

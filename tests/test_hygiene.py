@@ -1,7 +1,8 @@
 """Source hygiene of the package: no module imports a name it never uses,
-every private module-level name is referenced somewhere in it, and
-neither importing it nor its Bernoulli and small verify paths load scipy,
-numpy.ma or the worker-pool modules."""
+every private module-level name is referenced somewhere in it, neither
+importing it nor its Bernoulli and small verify paths load scipy,
+numpy.ma or the worker-pool modules, and the test oracles hash on their
+own."""
 
 import ast
 import os
@@ -65,6 +66,23 @@ def test_every_private_module_level_name_is_referenced():
         f"{module}:{name}" for module, tree in TREES.items() for name in private_definitions(tree) - referenced
     }
     assert not unreferenced, f"private names that nothing references: {sorted(unreferenced)}"
+
+
+def test_the_oracles_import_no_hash_from_the_library():
+    # the scalar hash in tests/oracles.py is the reference the library's
+    # array hash is tested against, so it must not call it; reading the
+    # channel constants is allowed
+    tree = ast.parse((SRC.parents[1] / "tests" / "oracles.py").read_text())
+    hashes = {"_mix64_inplace", "mix64_array", "unit_uniform_array", "derive_key", "run_seed", "_u64"}
+    from_library = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("bandit_switch"):
+            from_library.update(a.name for a in node.names)
+            assert node.module != "bandit_switch._rng" or {a.name for a in node.names} <= {"CH_REWARD", "CH_TIE"}
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.startswith("bandit_switch._rng") for a in node.names)
+    attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not (from_library | attributes) & hashes
 
 
 # Imports the package, builds the fig1-left scenario and runs ``verify

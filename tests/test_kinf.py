@@ -12,7 +12,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from bandit_switch import (
     BanditInstance,
@@ -472,6 +472,52 @@ def test_witness_certifies_the_dual_value(nu, y):
     assert sum(x * m for x, m in w.base_atoms) + w.mass_at_one >= mu - 1e-10
     assert abs(sum(m for _, m in w.base_atoms) + w.mass_at_one - 1.0) <= 1e-10
     assert abs(witness_kl(nu, w) - res.value) <= 1e-9
+
+
+@given(nu=laws, y=ys)
+@example(nu=EmpiricalDistribution([0.194, 0.377, 0.39, 0.635, 0.692, 0.799], [2, 8, 9, 4, 1, 8]), y=-math.log1p(-0.601))
+@example(nu=EmpiricalDistribution([0.0, 0.1], [3, 1]), y=2.0)  # maximum on the boundary lambda* = 1
+def test_the_solver_value_is_the_public_h_at_its_maximiser(nu, y):
+    # the solver and h_value evaluate one dual, so they agree to the bit,
+    # also at <= _SMALL_ATOMS atoms, where both sum in plain Python
+    mu = -math.expm1(-y)
+    res = kinf(nu, mu)
+    assert res.value == max(h_value(nu, mu, res.lambda_star), 0.0)
+    if res.lambda_star == 1.0:
+        assert res.value == h_value(nu, mu, 1.0)
+
+
+def _padded(values, weights, pad: bool):
+    # nine more atoms of weight 0 move a law onto the numpy path
+    return (values + [0.01 * i for i in range(1, 10)], weights + [0.0] * 9) if pad else (values, weights)
+
+
+@pytest.mark.parametrize("pad", [False, True], ids=["small-path", "numpy-path"])
+@pytest.mark.parametrize(
+    "values,weights",
+    [
+        ([math.nan], [1.0]),
+        ([1.5, 0.2], [0.5, 0.5]),
+        ([-0.1, 0.2], [0.5, 0.5]),
+        ([0.2, 0.4], [1.5, -0.5]),
+        ([0.2, 0.4], [math.nan, 1.0]),
+        ([0.2, 0.4], [0.5, 0.4]),
+        ([0.2, 0.4], [0.5, 0.5 + 2e-9]),
+    ],
+    ids=["nan-atom", "atom-above-1", "atom-below-0", "negative-weight", "nan-weight", "sum-0.9", "sum-1+2e-9"],
+)
+@pytest.mark.parametrize("mu", [0.5, 0.9])
+def test_kinf_weighted_rejects_bad_raw_input(values, weights, pad, mu):
+    # at mu = 0.5 some of these laws have a mean above mu, where the
+    # solver returns 0 without a solve; they are rejected all the same
+    with pytest.raises(ValueError, match="kinf needs atoms in"):
+        kinf_weighted(*_padded(values, weights, pad), mu)
+
+
+@pytest.mark.parametrize("pad", [False, True], ids=["small-path", "numpy-path"])
+def test_kinf_weighted_takes_weights_that_sum_to_1_within_1e9(pad):
+    res = kinf_weighted(*_padded([0.2, 0.4], [0.5, 0.5 + 5e-10], pad), 0.9)
+    assert res.converged and res.value > 0.0
 
 
 @pytest.mark.filterwarnings("error")

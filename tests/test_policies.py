@@ -21,6 +21,7 @@ from bandit_switch import (
     switch_value,
 )
 from bandit_switch import _vector
+from bandit_switch.policies import _NEEDS_HORIZON
 from bandit_switch.kinf import _bern_kl, klucb_index
 
 
@@ -102,6 +103,13 @@ def test_policy_spec_validation():
         PolicySpec("klucb-switch", horizon=100, switch_exponent=1.2)
     spec = PolicySpec("ucb")
     assert spec.exploration == "log_t"
+
+
+@pytest.mark.parametrize("family", ["ucb", "moss-anytime", "klucb-anytime", "klucb-switch-anytime", "imed"])
+def test_a_horizon_is_rejected_by_the_families_that_ignore_it(family):
+    with pytest.raises(ValueError, match="takes no horizon"):
+        PolicySpec(family, horizon=100)
+    assert PolicySpec(family).horizon is None
 
 
 def test_policy_spec_config_round_trip():
@@ -285,7 +293,7 @@ def test_batch_indices_equal_each_run_alone(family, laws):
     # a run's indices do not depend on the batch around it: Bernoulli
     # states on the kernel's Bernoulli branch, and continuous states, whose
     # cells mix laws on {0, 1} and wider ones, with their distributions
-    spec = PolicySpec(family, horizon=300) if family in ("moss", "klucb", "klucb-switch") else PolicySpec(family)
+    spec = PolicySpec(family, horizon=300) if family in _NEEDS_HORIZON else PolicySpec(family)
     rng = np.random.default_rng(45)
     for _ in range(6):
         k, t = int(rng.integers(2, 5)), int(rng.integers(20, 300))
@@ -397,7 +405,7 @@ def random_state_with_twins(rng, k, extra_pulls):
 def test_every_family_maximises_its_index(family):
     # one score direction: the pick is the rank rule's argmax of indices,
     # and imed's index is its score negated, -(N kinf + ln N)
-    spec = PolicySpec(family, horizon=400) if family in ("moss", "klucb", "klucb-switch") else PolicySpec(family)
+    spec = PolicySpec(family, horizon=400) if family in _NEEDS_HORIZON else PolicySpec(family)
     rng = np.random.default_rng(43)
     tied_states = 0
     for _ in range(30):

@@ -26,9 +26,11 @@ from bandit_switch import (
     run_seed,
 )
 from bandit_switch import _vector
-from bandit_switch._rng import CH_REWARD, CH_TIE, mix64, mix64_array, unit_uniform_array
+from bandit_switch._rng import CH_REWARD, CH_TIE, derive_key, mix64_array, unit_uniform_array
+from bandit_switch.policies import _NEEDS_HORIZON
 from bandit_switch.simulator import _policy_engine
-from oracles import scalar_episode, unit_uniform
+import oracles
+from oracles import mix64, scalar_episode, unit_uniform
 
 BERN3 = BanditInstance((Bernoulli(0.8), Bernoulli(0.5), Bernoulli(0.3)))
 
@@ -156,7 +158,7 @@ def test_vector_engine_support_matrix():
         ((Discrete((0.0, 0.5, 1.0), (0.25, 0.5, 0.25)), Bernoulli(0.4)), None, "klucb", "scalar"),
     ]
     for arms, bins, family, engine in rows:
-        spec = PolicySpec(family, horizon=10)
+        spec = PolicySpec(family, horizon=10) if family in _NEEDS_HORIZON else PolicySpec(family)
         scenario = Scenario(BanditInstance(arms), 10, (spec,), runs=1, base_seed=0, bins=bins)
         assert _policy_engine(scenario, spec) == engine, (arms, bins, family)
 
@@ -286,6 +288,19 @@ def test_record_grid_default_and_validation():
         Scenario(bandit=BERN3, horizon=2, policies=(PolicySpec("ucb"),), runs=1, base_seed=1)
 
 
+@pytest.mark.parametrize("grid", [(2.5, 5), (2.0, 5), (True, 5), (0, 5), (None, 5)], ids=["2.5", "2.0", "True", "0", "None"])
+def test_record_grid_entries_are_positive_integers(grid):
+    # a float or a bool is no step, even one that equals an integer
+    with pytest.raises(ConfigurationError, match="record_grid entry"):
+        Scenario(bandit=BERN3, horizon=10, policies=(PolicySpec("ucb"),), runs=1, base_seed=1, record_grid=grid)
+
+
+def test_record_grid_entries_are_read_as_integers_like_the_horizon():
+    scenario = Scenario(bandit=BERN3, horizon=10, policies=(PolicySpec("ucb"),), runs=1, base_seed=1, record_grid=("3", np.int64(5)))
+    assert scenario.record_grid == (3, 5) and all(type(t) is int for t in scenario.record_grid)
+    assert monte_carlo(scenario).grid.tolist() == [3, 5]
+
+
 def test_normalized_regret_values():
     scenario = Scenario(
         bandit=BanditInstance((Dirac(0.7), Dirac(0.3))),
@@ -350,6 +365,21 @@ def test_mix64_array_equals_the_scalar_hash_and_leaves_its_input_alone():
     assert mixed.dtype == np.uint64
     assert mixed.tolist() == [mix64(key) for key in keys.tolist()]
     assert keys.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("seed", [-5, -(2**63), 0, 1, 2**63 - 1, 2**63, 2**64 - 1, 2**64, 2**70 + 3])
+def test_array_derived_seeds_equal_the_scalar_chain(seed):
+    # negative and >= 2^64 seeds count mod 2^64, and paths at or past 2^63
+    # wrap in uint64 as they are masked in Python integers
+    paths = [0, 3, -1, 2**63, 2**64 + 7]
+    keys = derive_key(seed, 0, np.arange(1000))
+    assert keys.dtype == np.uint64
+    assert keys.tolist() == [oracles.derive_key(seed, 0, r) for r in range(1000)]
+    for p in paths:
+        assert derive_key(seed, p, 2**63 + 1).tolist() == [oracles.derive_key(seed, p, 2**63 + 1)]
+        assert run_seed(seed, p, -3) == oracles.derive_key(seed, p, -3)
+    grid = derive_key(seed, np.array([0, 1, 4])[:, None], np.arange(5))  # monte_carlo's (policy, run) block
+    assert grid.ravel().tolist() == [oracles.derive_key(seed, p, r) for p in (0, 1, 4) for r in range(5)]
 
 
 @pytest.mark.parametrize("hash_block", [mix64_array, lambda keys: unit_uniform_array(keys, 7, CH_REWARD)])
@@ -452,7 +482,7 @@ def test_vector_engine_replays_scalar_runs_on_binary_arms(arms, family, exponent
     # on arms supported on {0, 1}, the scalar reference (empirical laws,
     # atoms rounded to ``bins``) takes the vector engine's every action
     bandit = BanditInstance(tuple(arms))
-    spec = PolicySpec(family, horizon=horizon, switch_exponent=exponent)
+    spec = PolicySpec(family, horizon=horizon if family in _NEEDS_HORIZON else None, switch_exponent=exponent)
     _, actions = _vector.simulate(bandit, spec, horizon, [seed], tuple(range(1, horizon + 1)), record_actions=True)
     assert np.array_equal(run_episode(bandit, spec, horizon, seed, bins=bins).actions, actions[0])
 
