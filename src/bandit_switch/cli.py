@@ -87,17 +87,11 @@ SWEEP_PRESETS = {
 }
 
 _DEFAULT_X_GRID = [round(0.1 * i, 1) for i in range(1, 31)]
-_SWEEP_AXES = {"x", "T", "K"}
+# Each sweep axis and the config key its values replace.
+_SWEEP_AXES = {"x": "x", "T": "horizon", "K": "k"}
 
 _RUN_KEYS = {"bandit", "horizon", "policies", "runs", "seed", "record_grid", "bins", "parallelism", "out_dir"}
 _SWEEP_KEYS = {"preset", "axis", "values", "x", "k", "horizon", "runs", "seed", "policies", "parallelism", "out_dir"}
-
-
-def _fmt(x) -> str:
-    # repr of a Python float is the shortest round-trip form.
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
 
 
 def _load_json(path: str) -> dict:
@@ -117,6 +111,9 @@ def _expand_run_config(cfg: dict) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigurationError("run config must be a JSON object")
     if "config" in cfg:  # meta.json round-trip wrapper
+        beside = set(cfg) - {"config", "fanout", "stamp"}
+        if beside:
+            raise ConfigurationError(f"keys beside 'config' are not read: {sorted(beside)}")
         cfg = cfg["config"]
         if not isinstance(cfg, dict):
             raise ConfigurationError(f"the 'config' key must hold a JSON object, got {cfg!r}")
@@ -230,7 +227,7 @@ def cmd_run(args) -> int:
         for p_idx, name in enumerate(curve.policies):
             for g_idx, t in enumerate(curve.grid):
                 writer.writerow(
-                    [name, int(t), _fmt(float(curve.mean[p_idx, g_idx])), _fmt(float(curve.stderr[p_idx, g_idx])), curve.runs]
+                    [name, int(t), float(curve.mean[p_idx, g_idx]), float(curve.stderr[p_idx, g_idx]), curve.runs]
                 )
     _write_meta(out_dir, _expanded_echo(scenario), fanout=_fanout(curve))
     print(f"wrote {os.path.join(out_dir, 'regret.csv')}")
@@ -261,6 +258,8 @@ def cmd_sweep(args) -> int:
     axis = cfg.get("axis", "x")
     if not isinstance(axis, str) or axis not in _SWEEP_AXES:
         raise ConfigurationError(f"sweep axis must be one of {sorted(_SWEEP_AXES)}, got {axis!r}")
+    if _SWEEP_AXES[axis] in cfg:
+        raise ConfigurationError(f"sweep axis {axis} replaces the key {_SWEEP_AXES[axis]!r}; remove it")
     values = cfg.get("values", {"x": _DEFAULT_X_GRID, "T": [100, 1000, 10_000], "K": [2, 10, 50]}[axis])
     if not isinstance(values, list) or not values:
         raise ConfigurationError(f"sweep values must be a non-empty JSON list, got {values!r}")
@@ -275,6 +274,9 @@ def cmd_sweep(args) -> int:
     points = []
     try:
         fixed_x = _finite(cfg.get("x", 1.0), "x")
+        for p in policy_cfgs:
+            if isinstance(p, dict) and p.get("family") in _NEEDS_HORIZON and "horizon" in p:
+                raise ConfigurationError(f"sweep sets the 'horizon' of policy {p['family']!r} to each point's T; remove it")
         for value in values:
             x = _finite(value, "sweep value on axis x") if axis == "x" else fixed_x
             k = value if axis == "K" else fixed_k
@@ -297,7 +299,7 @@ def cmd_sweep(args) -> int:
     for value, k, t, scenario in points:
         curve = monte_carlo(scenario, parallelism=parallelism)
         for name in curve.policies:
-            rows.append([axis, value, name, _fmt(normalized_regret(curve, k, t, name))])
+            rows.append([axis, value, name, normalized_regret(curve, k, t, name)])
         expanded_points.append({"sweep_value": value, "scenario": _expanded_echo(scenario), "fanout": _fanout(curve)})
     with open(os.path.join(out_dir, "sweep.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -326,7 +328,7 @@ def cmd_verify(args) -> int:
             violations += rep.violations
             for p in rep.points:
                 writer.writerow(
-                    [rep.bound_name, p.label, _fmt(p.empirical), _fmt(p.bound), _fmt(p.stderr), int(p.violation), rep.runs]
+                    [rep.bound_name, p.label, p.empirical, p.bound, p.stderr, int(p.violation), rep.runs]
                 )
     for rep in reports:
         status = "ok" if rep.ok else f"{rep.violations} VIOLATIONS"

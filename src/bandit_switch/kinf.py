@@ -89,7 +89,12 @@ def bernoulli_kl(p: float, q: float) -> float:
     return float(_bern_kl(np.float64(p), np.float64(q)))
 
 
-# Below this many atoms a plain-Python inner loop beats numpy call overhead.
+# Up to this many atoms the dual runs in plain Python, free of numpy call
+# overhead.  That pays on the exact path, which solves on few-atom laws at
+# every step: 3-atom Discrete arms under klucb-anytime, the 8/9 switch and
+# imed (36 rows x 1,000 steps) took 3.4-4.6 s of CPU against 8.9-9.3 s
+# without it (2-core VM, numpy 2.4), with the same actions; one-shot solves
+# gain nothing (8.0 against 8.2 us a solve on 1 to 8 atoms).
 _SMALL_ATOMS = 8
 
 

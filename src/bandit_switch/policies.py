@@ -16,7 +16,8 @@ Families
 - ``klucb-exp`` / ``klucb-gauss``: parametric comparators driven by the
   exponential, resp. Gaussian, KL on means.
 
-The exploration function is a configuration axis: ``log_plus`` is the
+The exploration function is a setting of every family but ucb and imed,
+which read none: ``log_plus`` is the
 plain positive-part logarithm, ``augmented_phi`` the inflated variant
 x -> ln_+(x (1 + ln_+^2 x)) used by the theoretical anytime indices.
 
@@ -49,24 +50,25 @@ __all__ = [
     "indices",
 ]
 
-FAMILIES = (
-    "ucb",
-    "moss",
-    "moss-anytime",
-    "klucb",
-    "klucb-anytime",
-    "klucb-switch",
-    "klucb-switch-anytime",
-    "imed",
-    "klucb-exp",
-    "klucb-gauss",
-)
+# The settings each family reads, in field order.  Every family reads its
+# ``family`` and ``label``; a setting off its row must keep its default.
+_READS = {
+    "ucb": (),
+    "moss": ("horizon", "exploration"),
+    "moss-anytime": ("exploration",),
+    "klucb": ("horizon", "exploration"),
+    "klucb-anytime": ("exploration",),
+    "klucb-switch": ("horizon", "exploration", "switch_exponent"),
+    "klucb-switch-anytime": ("exploration", "switch_exponent"),
+    "imed": (),
+    "klucb-exp": ("horizon", "exploration"),
+    "klucb-gauss": ("horizon", "exploration", "sigma"),
+}
+FAMILIES = tuple(_READS)
 
-EXPLORATIONS = ("log_plus", "augmented_phi", "log_t")
+EXPLORATIONS = ("log_plus", "augmented_phi")
 
 _NEEDS_HORIZON = {"moss", "klucb", "klucb-switch"}
-_READS_HORIZON = _NEEDS_HORIZON | {"klucb-exp", "klucb-gauss"}
-_SWITCH = {"klucb-switch", "klucb-switch-anytime"}
 _NEEDS_DISTS = {"klucb", "klucb-anytime", "klucb-switch", "klucb-switch-anytime", "imed"}
 
 
@@ -74,10 +76,11 @@ _NEEDS_DISTS = {"klucb", "klucb-anytime", "klucb-switch", "klucb-switch-anytime"
 class PolicySpec:
     """Configuration of one index policy.
 
-    ``horizon`` is required for the non-anytime families (moss, klucb,
-    klucb-switch), optional for klucb-exp/klucb-gauss, which use the
-    horizon ratio when it is set and the running time ratio otherwise, and
-    rejected by the others, which never read it.
+    A family reads the settings of its row in ``_READS`` and rejects any
+    other one set off its default.  ``horizon`` is required for the
+    non-anytime families (moss, klucb, klucb-switch), and optional for
+    klucb-exp/klucb-gauss, which use the horizon ratio when it is set and
+    the running time ratio otherwise.
     """
 
     family: str
@@ -90,24 +93,26 @@ class PolicySpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise ValueError(f"unknown policy family {self.family!r}")
-        if self.family == "ucb":
-            object.__setattr__(self, "exploration", "log_t")
-        elif self.exploration == "log_t":
-            raise ValueError("log_t exploration is specific to the ucb family")
-        elif self.exploration not in EXPLORATIONS:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name not in self._keys() and value != f.default:
+                raise ValueError(f"family {self.family!r} takes no {f.name}, got {value!r}")
+        if self.exploration not in EXPLORATIONS:
             raise ValueError(f"unknown exploration {self.exploration!r}")
         if self.family in _NEEDS_HORIZON and self.horizon is None:
             raise ValueError(f"family {self.family!r} requires a horizon")
         if self.horizon is not None:
-            if self.family not in _READS_HORIZON:
-                raise ValueError(f"family {self.family!r} takes no horizon, got {self.horizon!r}")
             object.__setattr__(self, "horizon", positive_int(self.horizon, "policy horizon"))
-        if self.family in _SWITCH and not 0.0 < self.switch_exponent < 1.0:
+        if not 0.0 < self.switch_exponent < 1.0:
             raise ValueError("switch exponent must lie in (0, 1)")
-        if self.family == "klucb-gauss" and not (math.isfinite(self.sigma) and self.sigma > 0.0):
+        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
             raise ValueError(f"sigma must be positive and finite, got {self.sigma!r}")
         if self.label is not None and not (isinstance(self.label, str) and self.label):
             raise ValueError(f"policy label must be a non-empty string, got {self.label!r}")
+
+    def _keys(self) -> tuple:
+        """The fields the family reads, in field order."""
+        return ("family", *_READS[self.family], "label")
 
     @property
     def name(self) -> str:
@@ -118,18 +123,7 @@ class PolicySpec:
         return self.family in _NEEDS_DISTS
 
     def to_config(self) -> dict:
-        cfg: dict = {"family": self.family}
-        if self.horizon is not None:
-            cfg["horizon"] = self.horizon
-        if self.family != "ucb":
-            cfg["exploration"] = self.exploration
-        if self.family in _SWITCH:
-            cfg["switch_exponent"] = self.switch_exponent
-        if self.family == "klucb-gauss":
-            cfg["sigma"] = self.sigma
-        if self.label is not None:
-            cfg["label"] = self.label
-        return cfg
+        return {name: getattr(self, name) for name in self._keys() if getattr(self, name) is not None}
 
     @classmethod
     def from_config(cls, cfg: dict) -> "PolicySpec":

@@ -53,12 +53,15 @@ def _sorted_unique(x) -> np.ndarray:
     return x[keep]
 
 
-def default_record_grid(k: int, horizon: int, points: int = 50) -> tuple:
+_RECORD_POINTS = 50  # of the geometric recording grid, before rounding merges some
+
+
+def default_record_grid(k: int, horizon: int) -> tuple:
     """Geometric grid of recording steps from K to T, always including T."""
     if horizon < k:
         raise ConfigurationError("horizon must be at least the number of arms")
     lo = max(k, 1)
-    grid = _sorted_unique(np.rint(np.geomspace(lo, horizon, points)).astype(np.int64))
+    grid = _sorted_unique(np.rint(np.geomspace(lo, horizon, _RECORD_POINTS)).astype(np.int64))
     grid = grid[(grid >= 1) & (grid <= horizon)]
     if grid.size == 0 or grid[-1] != horizon:
         grid = np.append(grid, horizon)

@@ -362,21 +362,15 @@ def _binary_empiricals(n: int) -> list:
     return [EmpiricalDistribution([0.0], [n]), *inner, EmpiricalDistribution([1.0], [n])]
 
 
-def _binary_kinf_table(n: int, mu: float) -> np.ndarray:
-    """kinf(empirical of c ones out of n, mu) for every count c."""
-    return np.array([kinf(dist, mu).value for dist in _binary_empiricals(n)])
-
-
-def _resampled_kinf(arm, n: int, mu: float, runs: int, rng: np.random.Generator) -> np.ndarray:
-    """kinf(empirical of n i.i.d. draws, mu), resampled ``runs`` times."""
+def _resample(arm, n: int, runs: int, rng: np.random.Generator) -> tuple:
+    """The distinct empirical laws of n i.i.d. draws from ``arm``,
+    resampled ``runs`` times, and for each run the index of its law: on a
+    binary arm, the law of every count of ones, drawn binomially; on any
+    other, one law per run, from its own ``rng.random(n)``."""
     if arm.support_binary:
-        counts = rng.binomial(n, arm.true_mean(), size=runs)
-        return _binary_kinf_table(n, mu)[counts]
-    vals = np.empty(runs)
-    for i in range(runs):
-        xs = np.asarray(arm.quantile(rng.random(n)), dtype=float)
-        vals[i] = kinf(EmpiricalDistribution.from_observations(xs), mu).value
-    return vals
+        return _binary_empiricals(n), rng.binomial(n, arm.true_mean(), size=runs)
+    laws = [EmpiricalDistribution.from_observations(np.asarray(arm.quantile(rng.random(n)), dtype=float)) for _ in range(runs)]
+    return laws, np.arange(runs)
 
 
 def kinf_deviation_check(arm, n: int, u_grid, runs: int, seed: int) -> BoundCheckReport:
@@ -384,8 +378,8 @@ def kinf_deviation_check(arm, n: int, u_grid, runs: int, seed: int) -> BoundChec
     mu = arm.true_mean()
     if not 0.0 < mu < 1.0:
         raise ValueError("the arm mean must lie strictly inside (0, 1)")
-    rng = np.random.default_rng(seed)
-    vals = _resampled_kinf(arm, n, mu, runs, rng)
+    laws, law_of_run = _resample(arm, n, runs, np.random.default_rng(seed))
+    vals = np.array([kinf(nu, mu).value for nu in laws])[law_of_run]
     points = []
     for u in u_grid:
         points.append(_freq_point(f"n={n},u={u:g}", vals >= u, math.e * (2 * n + 1) * math.exp(-n * u)))
@@ -399,16 +393,12 @@ def kinf_integrated_deviation_check(arm, n: int, eps_grid, runs: int, seed: int)
     mu = arm.true_mean()
     if not 0.0 < mu < 1.0:
         raise ValueError("the arm mean must lie strictly inside (0, 1)")
-    if not arm.support_binary:
-        raise ValueError("integrated deviation checker supports binary arms only")
-    rng = np.random.default_rng(seed)
-    counts = rng.binomial(n, mu, size=runs)
-    dists = _binary_empiricals(n)
+    laws, law_of_run = _resample(arm, n, runs, np.random.default_rng(seed))
     points = []
     for eps in eps_grid:
-        table = np.array([klucb_index(dist, float(eps)) for dist in dists])
+        index = np.array([klucb_index(nu, float(eps)) for nu in laws])[law_of_run]
         bound = (2 * n + 1) * math.exp(-n * eps) * math.sqrt(math.pi / n)
-        points.append(_mean_point(f"n={n},eps={eps:g}", np.maximum(mu - table[counts], 0.0), bound))
+        points.append(_mean_point(f"n={n},eps={eps:g}", np.maximum(mu - index, 0.0), bound))
     return BoundCheckReport(f"kinf-integrated-deviation[{arm.kind},n={n}]", points, runs)
 
 
@@ -430,7 +420,8 @@ def kinf_concentration_check(arm, mu: float, n_grid, runs: int, seed: int) -> Bo
     rng = np.random.default_rng(seed)
     points = []
     for n in n_grid:
-        vals = _resampled_kinf(arm, int(n), mu, runs, rng)
+        laws, law_of_run = _resample(arm, int(n), runs, rng)
+        vals = np.array([kinf(nu, mu).value for nu in laws])[law_of_run]
         for frac in _CONCENTRATION_X_FRACS:
             x = frac * k_true
             if x <= k_true - gamma / 2.0:

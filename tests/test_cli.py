@@ -6,9 +6,13 @@ import hashlib
 import json
 import pathlib
 
+import numpy as np
 import pytest
 
+from bandit_switch import cli
 from bandit_switch.cli import PRESETS, _expand_run_config, _scenario_from_config, main
+from bandit_switch.policies import _NEEDS_HORIZON, _READS
+from bandit_switch.verification import BoundCheckReport, CheckPoint
 
 
 SMALL_CONFIG = {
@@ -164,11 +168,59 @@ def test_a_config_key_that_holds_no_object_exits_2(tmp_path, capsys, wrapped):
     assert "'config'" in capsys.readouterr().err
 
 
-def test_a_horizon_on_an_anytime_policy_exits_2(tmp_path, capsys):
-    cfg = dict(SMALL_CONFIG, policies=[{"family": "klucb-anytime", "horizon": 100}])
+# A value off the default for every policy setting.
+OFF_DEFAULT = {"horizon": 100, "exploration": "augmented_phi", "switch_exponent": 0.5, "sigma": 0.3}
+UNREAD = [(family, key) for family, row in _READS.items() for key in OFF_DEFAULT if key not in row]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("family,key", UNREAD, ids=[f"{f}-{k}" for f, k in UNREAD])
+def test_a_setting_that_the_family_never_reads_exits_2(tmp_path, capsys, command, family, key):
+    policy = {"family": family, key: OFF_DEFAULT[key]}
+    if command == "run":
+        needs = {"horizon": 300} if family in _NEEDS_HORIZON else {}
+        cfg = dict(SMALL_CONFIG, policies=[dict(needs, **policy)])
+    else:  # the sweep sets each point's horizon itself
+        cfg = {"preset": "fig2-left", "values": [1.0], "runs": 2, "policies": [policy]}
+    assert main([command, write_config(tmp_path, cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    assert f"family {family!r} takes no {key}" in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("*.csv"))
+
+
+@pytest.mark.parametrize("axis,key,value", [("x", "x", 1.0), ("K", "k", 7), ("T", "horizon", 999)])
+def test_a_sweep_key_that_its_axis_replaces_exits_2(tmp_path, capsys, axis, key, value):
+    cfg = {"preset": "fig2-left", "axis": axis, "runs": 2, key: value}
+    assert main(["sweep", write_config(tmp_path, cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    assert f"replaces the key {key!r}" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("axis", ["x", "T", "K"])
+def test_a_policy_horizon_that_the_sweep_overrides_exits_2(tmp_path, capsys, axis):
+    cfg = {"preset": "fig2-left", "axis": axis, "runs": 2, "policies": [{"family": "moss", "horizon": 999}]}
+    assert main(["sweep", write_config(tmp_path, cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "'horizon' of policy 'moss'" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("key,value", [("runs", 5), ("horizon", 100), ("policies", [])])
+def test_a_run_key_beside_a_config_wrapper_exits_2(tmp_path, capsys, key, value):
+    cfg = {"config": SMALL_CONFIG, "fanout": {}, "stamp": {}, key: value}
     assert main(["run", write_config(tmp_path, cfg), "--out-dir", str(tmp_path / "out")]) == 2
-    assert "takes no horizon" in capsys.readouterr().err
+    assert f"beside 'config' are not read: [{key!r}]" in capsys.readouterr().err
     assert not (tmp_path / "out" / "regret.csv").exists()
+
+
+def test_a_meta_json_whose_imed_echoes_its_exploration_replays(tmp_path):
+    # imed's echo held its unread exploration until the settings table
+    # dropped it; such a meta.json still loads and gives the same bits
+    policies = [{"family": "imed", "label": "IMED"}]
+    plain = write_config(tmp_path, dict(SMALL_CONFIG, policies=policies, runs=6), "plain.json")
+    echoed = dict(SMALL_CONFIG, policies=[dict(policies[0], exploration="log_plus")], runs=6)
+    meta = write_config(tmp_path, {"config": echoed, "fanout": {}, "stamp": {}}, "meta.json")
+    for path, out in ((plain, "o1"), (meta, "o2")):
+        assert main(["run", path, "--out-dir", str(tmp_path / out), "--parallelism", "1"]) == 0
+    assert (tmp_path / "o1" / "regret.csv").read_bytes() == (tmp_path / "o2" / "regret.csv").read_bytes()
 
 
 def test_unknown_keys_and_presets_exit_2(tmp_path, capsys):
@@ -291,6 +343,14 @@ def test_verify_rejects_a_non_positive_run_count(tmp_path, capsys, runs):
     assert main(["verify", "kinf-oracle", "--runs", runs, "--out-dir", str(tmp_path)]) == 2
     assert "--runs must be an integer >= 1" in capsys.readouterr().err
     assert not (tmp_path / "verify_kinf-oracle.csv").exists()
+
+
+def test_verify_writes_numpy_floats_as_plain_numbers(tmp_path, monkeypatch):
+    # np.float64 subclasses float, and its repr is np.float64(0.1) under numpy 2
+    point = CheckPoint("p", np.float64(0.1), np.float64(1.0) / 3.0, np.float64(0.0), False)
+    monkeypatch.setattr(cli, "run_suite", lambda suite, runs=None, parallelism=1: [BoundCheckReport("b", [point], 7)])
+    assert main(["verify", "lambert", "--out-dir", str(tmp_path)]) == 0
+    assert read_rows(tmp_path / "verify_lambert.csv")[1] == ["b", "p", "0.1", "0.3333333333333333", "0.0", "0", "7"]
 
 
 def test_verify_lambert_suite(tmp_path):

@@ -133,3 +133,16 @@ def test_the_names_the_replay_check_resolves_still_answer():
     grid, seed = (3, 10, 50), 11
     replay = simulator._chunk_worker((binary, spec, 50, grid, [seed], "vector", None))[0]
     assert replay.tobytes() == run_episode(binary, spec, 50, seed).trajectory[np.asarray(grid) - 1].tobytes()
+
+
+def test_every_setting_and_config_key_is_documented():
+    # each policy setting and each run and sweep key appears, in backticks,
+    # in the README
+    from dataclasses import fields
+
+    from bandit_switch import PolicySpec, cli
+
+    readme = (SRC.parents[1] / "README.md").read_text()
+    keys = {f.name for f in fields(PolicySpec)} | cli._RUN_KEYS | cli._SWEEP_KEYS
+    missing = sorted(key for key in keys if f"`{key}`" not in readme)
+    assert not missing, f"README never names {missing}"

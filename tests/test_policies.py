@@ -3,7 +3,9 @@ rules, and arm selection.  A state is one run's pull counts and reward
 sums, arrays of shape (1, K), its time and each arm's empirical
 distribution, in the order ``indices`` takes them."""
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from bandit_switch import (
     switch_value,
 )
 from bandit_switch import _vector
-from bandit_switch.policies import _NEEDS_HORIZON
+from bandit_switch.policies import _NEEDS_HORIZON, _READS
 from bandit_switch.kinf import _bern_kl, klucb_index
 
 
@@ -99,17 +101,52 @@ def test_policy_spec_validation():
         PolicySpec("nope")
     with pytest.raises(ValueError):
         PolicySpec("moss", horizon=100, exploration="log_t")
+    with pytest.raises(ValueError, match="takes no exploration"):
+        PolicySpec("ucb", exploration="log_t")
     with pytest.raises(ValueError):
         PolicySpec("klucb-switch", horizon=100, switch_exponent=1.2)
-    spec = PolicySpec("ucb")
-    assert spec.exploration == "log_t"
 
 
-@pytest.mark.parametrize("family", ["ucb", "moss-anytime", "klucb-anytime", "klucb-switch-anytime", "imed"])
-def test_a_horizon_is_rejected_by_the_families_that_ignore_it(family):
-    with pytest.raises(ValueError, match="takes no horizon"):
-        PolicySpec(family, horizon=100)
-    assert PolicySpec(family).horizon is None
+# A value off the default for every setting, and a state on which each
+# changes some index of every family that reads it.
+OFF_DEFAULT = {"horizon": 1000, "exploration": "augmented_phi", "switch_exponent": 0.9, "sigma": 0.3}
+TABLE_STATE = (np.array([[10.0, 40.0, 250.0]]), np.array([[6.0, 20.0, 180.0]]), 300)
+
+
+def base_spec(family, **kwargs):
+    return PolicySpec(family, **({"horizon": 300} if family in _NEEDS_HORIZON else {}), **kwargs)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_each_family_reads_exactly_the_settings_of_its_row(family):
+    # the table lists its families in order and each row in field order;
+    # every setting on a row moves some index, and every other one is
+    # rejected once set off its default
+    assert FAMILIES == tuple(_READS)
+    defaults = {f.name: f.default for f in dataclasses.fields(PolicySpec)}
+    row = _READS[family]
+    assert list(row) == sorted(row, key=list(defaults).index)
+    assert set(OFF_DEFAULT) == set(defaults) - {"family", "label"}
+    base = indices(base_spec(family), *TABLE_STATE)
+    for name, value in OFF_DEFAULT.items():
+        if name in row:
+            moved = indices(dataclasses.replace(base_spec(family), **{name: value}), *TABLE_STATE)
+            assert not np.array_equal(moved, base), name
+        else:
+            with pytest.raises(ValueError, match=re.escape(f"family {family!r} takes no {name}, got {value!r}")):
+                base_spec(family, **{name: value})
+            base_spec(family, **{name: defaults[name]})  # the default itself is accepted
+
+
+def test_the_config_echo_holds_the_settings_of_the_row():
+    assert PolicySpec("imed").to_config() == {"family": "imed"}
+    assert PolicySpec("ucb", label="UCB").to_config() == {"family": "ucb", "label": "UCB"}
+    assert list(PolicySpec("klucb-gauss", horizon=50, sigma=0.2, label="g").to_config()) == [
+        "family", "horizon", "exploration", "sigma", "label"
+    ]
+    assert "horizon" not in PolicySpec("klucb-exp").to_config()
+    # an echo written when imed still echoed its (unread) exploration loads
+    assert PolicySpec.from_config({"family": "imed", "exploration": "log_plus"}) == PolicySpec("imed")
 
 
 def test_policy_spec_config_round_trip():

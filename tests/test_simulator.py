@@ -27,7 +27,7 @@ from bandit_switch import (
 )
 from bandit_switch import _vector
 from bandit_switch._rng import CH_REWARD, CH_TIE, derive_key, mix64_array, unit_uniform_array
-from bandit_switch.policies import _NEEDS_HORIZON
+from bandit_switch.policies import _NEEDS_HORIZON, _READS
 from bandit_switch.simulator import _policy_engine
 import oracles
 from oracles import mix64, scalar_episode, unit_uniform
@@ -482,7 +482,11 @@ def test_vector_engine_replays_scalar_runs_on_binary_arms(arms, family, exponent
     # on arms supported on {0, 1}, the scalar reference (empirical laws,
     # atoms rounded to ``bins``) takes the vector engine's every action
     bandit = BanditInstance(tuple(arms))
-    spec = PolicySpec(family, horizon=horizon if family in _NEEDS_HORIZON else None, switch_exponent=exponent)
+    spec = PolicySpec(
+        family,
+        horizon=horizon if family in _NEEDS_HORIZON else None,
+        switch_exponent=exponent if "switch_exponent" in _READS[family] else 0.2,
+    )
     _, actions = _vector.simulate(bandit, spec, horizon, [seed], tuple(range(1, horizon + 1)), record_actions=True)
     assert np.array_equal(run_episode(bandit, spec, horizon, seed, bins=bins).actions, actions[0])
 

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from bandit_switch import BanditInstance, Bernoulli, EmpiricalDistribution, PolicySpec, TruncatedGaussian, indices
+from bandit_switch import BanditInstance, Bernoulli, Discrete, EmpiricalDistribution, PolicySpec, TruncatedGaussian, indices
 from bandit_switch import _vector
-from bandit_switch.kinf import bernoulli_kl, kinf_weighted
+from bandit_switch.kinf import bernoulli_kl, kinf_weighted, klucb_index
 from bandit_switch.simulator import run_seed
 from bandit_switch.verification import (
     BOUND_IDS,
@@ -149,6 +149,18 @@ def test_deviation_checker_rejects_degenerate_mean():
 def test_integrated_deviation_small_run():
     report = kinf_integrated_deviation_check(Bernoulli(0.5), 5, (0.05, 0.2), 4000, seed=4)
     assert report.ok
+
+
+@pytest.mark.parametrize("n", [5, 20])
+def test_integrated_deviation_on_a_three_atom_arm(n):
+    # a law off {0, 1} is resampled run by run, as in the deviation check
+    arm = Discrete((0.0, 0.5, 1.0), (0.3, 0.4, 0.3))
+    report = kinf_integrated_deviation_check(arm, n, (0.05, 0.2), 300, seed=6)
+    assert len(report.points) == 2 and report.ok
+    rng = np.random.default_rng(6)
+    laws = [EmpiricalDistribution.from_observations(np.asarray(arm.quantile(rng.random(n)), dtype=float)) for _ in range(300)]
+    want = np.mean([max(arm.true_mean() - klucb_index(nu, 0.2), 0.0) for nu in laws])
+    assert report.points[1].empirical == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
 def test_concentration_checker_and_true_divergence():
