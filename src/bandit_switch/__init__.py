@@ -2,6 +2,12 @@
 confidence-bound solver, with a reproducible Monte-Carlo harness and a
 verification suite for the finite-time bounds the policies satisfy."""
 
+import os
+
+# numpy's OpenBLAS starts a worker thread per CPU that spins ~65 ms at load
+# (numpy imports in 0.10-0.13 s, not 0.05 s, on 2 CPUs); our one gemv needs none
+if "OPENBLAS_NUM_THREADS" not in os.environ and "OMP_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 from .distributions import (
     ArmModel,
     BanditInstance,

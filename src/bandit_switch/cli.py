@@ -199,7 +199,7 @@ def _fanout(curve) -> dict:
 
 def _parallelism(args, cfg: dict) -> int:
     """Worker processes: ``--parallelism``, else $BANDIT_SWITCH_THREADS,
-    else the config's ``parallelism``, else the number of cores."""
+    else the config's ``parallelism``, else the CPUs this process may use."""
     sources = (
         ("--parallelism", args.parallelism),
         ("BANDIT_SWITCH_THREADS", os.environ.get("BANDIT_SWITCH_THREADS") or None),
@@ -208,7 +208,7 @@ def _parallelism(args, cfg: dict) -> int:
     for name, value in sources:
         if value is not None:
             return positive_int(value, name)
-    return os.cpu_count() or 1
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def cmd_run(args) -> int:
@@ -345,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--parallelism", type=int, default=None, help="worker processes (default: cores; env BANDIT_SWITCH_THREADS)")
+        p.add_argument("--parallelism", type=int, default=None, help="worker processes (default: the CPUs this process may use; env BANDIT_SWITCH_THREADS)")
         p.add_argument("--out-dir", default=None, help="output directory (default: current)")
         p.add_argument("--runs", type=int, default=None, help="override the configured run count")
 

@@ -50,6 +50,14 @@ def test_c01_kinf_grid_oracle():
     assert report.points[0].label == f"max |newton - grid| ({GOLDEN['c1_worst_label']})"
 
 
+def test_c01_golden_gap_holds_with_two_blas_threads(fresh_python):
+    # C1 above runs with this process's BLAS threads, one when the package
+    # loaded numpy; the grid oracle's view @ w is the package's one matrix
+    # product, so rerun it in a process that keeps two
+    code = "from bandit_switch.verification import kinf_grid_oracle_check as c; print(repr(c().values['worst_gap']))"
+    assert float(fresh_python("-c", code, OPENBLAS_NUM_THREADS="2")) == GOLDEN["c1_worst_gap"]
+
+
 def test_c02_bernoulli_identity():
     report = bernoulli_identity_check(mus_per_p=50, tol=1e-8)
     worst = max(p.empirical for p in report.points)

@@ -1,9 +1,11 @@
 """Command-line surface: config ingestion, CSV/meta emission,
 reproducibility, and exit codes."""
 
+import argparse
 import csv
 import hashlib
 import json
+import os
 import pathlib
 
 import numpy as np
@@ -323,6 +325,26 @@ def test_env_var_parallelism(tmp_path, monkeypatch):
     out2 = tmp_path / "out2"
     assert main(["run", cfg, "--out-dir", str(out2), "--parallelism", "1"]) == 0
     assert (out / "regret.csv").read_bytes() == (out2 / "regret.csv").read_bytes()
+
+
+def test_default_parallelism_counts_the_cpus_this_process_may_run_on(monkeypatch):
+    # under an affinity mask (taskset, cpusets) the host's CPU count would
+    # start more workers than the process can run
+    monkeypatch.delenv("BANDIT_SWITCH_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert cli._parallelism(argparse.Namespace(parallelism=None), {}) == 1
+
+
+def test_verify_kinf_oracle_writes_the_same_csv_with_one_or_two_blas_threads(tmp_path, fresh_python):
+    # the grid oracle's view @ w is the package's one matrix product, which
+    # OpenBLAS splits over its threads when it has more than one
+    written = []
+    for threads in ("1", "2"):
+        argv = ["verify", "kinf-oracle", "--runs", "64", "--out-dir", str(tmp_path / threads)]
+        fresh_python("-m", "bandit_switch.cli", *argv, OPENBLAS_NUM_THREADS=threads)
+        written.append((tmp_path / threads / "verify_kinf-oracle.csv").read_bytes())
+    assert written[0] == written[1]
 
 
 def test_verify_unknown_suite_exits_2(tmp_path):

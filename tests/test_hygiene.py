@@ -1,13 +1,12 @@
 """Source hygiene of the package: no module imports a name it never uses,
 every private module-level name is referenced somewhere in it, neither
 importing it nor its Bernoulli and small verify paths load scipy,
-numpy.ma or the worker-pool modules, and the test oracles hash on their
-own."""
+numpy.ma or the worker-pool modules, importing it starts no BLAS worker
+thread, and the test oracles hash on their own."""
 
 import ast
 import os
 import pathlib
-import subprocess
 import sys
 
 import pytest
@@ -104,14 +103,12 @@ with tempfile.TemporaryDirectory() as out_dir:
 """
 
 
-def test_import_fig1_left_build_and_verify_leave_the_slow_imports_unloaded():
+def test_import_fig1_left_build_and_verify_leave_the_slow_imports_unloaded(fresh_python):
     # only a truncated-Gaussian draw needs scipy, which takes about 0.3 s to
     # import; np.unique imports numpy.ma, about 20 ms; and only a started
     # worker pool needs concurrent.futures and multiprocessing, about 21 ms,
     # and only monte_carlo starts one, not the grid oracle at any law count
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH")))))
-    out = subprocess.run([sys.executable, "-c", _SLOW_IMPORTS_CODE], env=env, capture_output=True, text=True, check=True)
-    loaded = [line for line in out.stdout.splitlines() if line.startswith("[")]
+    loaded = [line for line in fresh_python("-c", _SLOW_IMPORTS_CODE).splitlines() if line.startswith("[")]
     assert loaded == ["[]"] * 4
 
 
@@ -146,3 +143,39 @@ def test_every_setting_and_config_key_is_documented():
     keys = {f.name for f in fields(PolicySpec)} | cli._RUN_KEYS | cli._SWEEP_KEYS
     missing = sorted(key for key in keys if f"`{key}`" not in readme)
     assert not missing, f"README never names {missing}"
+
+
+_BLAS_CODE = """
+import os
+{imports}
+print(os.environ.get("OPENBLAS_NUM_THREADS"), os.environ.get("OMP_NUM_THREADS"))
+print(len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else 0)
+"""
+
+
+def _blas_state(fresh_python, imports: str, **env) -> tuple:
+    openblas, omp, threads = fresh_python("-c", _BLAS_CODE.format(imports=imports), **env).split()
+    return openblas, omp, int(threads)
+
+
+ONE_CPU = not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) == 1
+
+
+def test_import_pins_openblas_to_one_thread(fresh_python):
+    openblas, omp, _ = _blas_state(fresh_python, "import bandit_switch")
+    assert (openblas, omp) == ("1", "None")
+
+
+@pytest.mark.skipif(ONE_CPU, reason="OpenBLAS starts no worker thread off Linux's task list or on one CPU")
+def test_import_starts_no_blas_worker_thread(fresh_python):
+    # numpy loads with the package, so a fresh interpreter holds its main
+    # thread only; a program that imports numpy first keeps numpy's threads
+    assert _blas_state(fresh_python, "import bandit_switch")[2] == 1
+    assert _blas_state(fresh_python, "import numpy, bandit_switch")[2] > 1
+
+
+@pytest.mark.parametrize(
+    "variable, expected", [("OPENBLAS_NUM_THREADS", ("2", "None")), ("OMP_NUM_THREADS", ("None", "2"))]
+)
+def test_a_blas_thread_count_the_user_set_is_kept(fresh_python, variable, expected):
+    assert _blas_state(fresh_python, "import bandit_switch", **{variable: "2"})[:2] == expected
