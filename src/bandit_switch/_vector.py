@@ -32,13 +32,12 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ._rng import CH_REWARD, CH_TIE, mix64_array, unit_uniform_array
-from .distributions import BanditInstance, Bernoulli, EmpiricalDistribution
+from .distributions import BanditInstance, Bernoulli, EmpiricalDistribution, positive_int
 from .kinf import _bern_kl, kinf, klucb_index
 
 if TYPE_CHECKING:
     from .policies import PolicySpec
 
-_EMPIRICAL_EXPONENT = 8.0 / 9.0
 # Uniforms hashed per channel in one pass of :func:`simulate` (256 KiB of
 # float64): the block of steps is this many over the batch size, at most
 # _BLOCK_STEPS, since hashing holds about two temporaries of its size.
@@ -82,18 +81,15 @@ def moss_index(mean: float, n: int, ratio: float, explo: str = "log_plus") -> fl
 
 
 def switch_value(tau: float, k: int, exponent: float = 0.2) -> float:
-    """Switch threshold as a real number, used by the branch test.
-
-    Two conventions, matching how each variant is defined: the exponent
-    8/9 floors the ratio before exponentiation (empirical variant), any
-    other exponent floors the power (theoretical variant, where the
-    threshold is an integer by definition).
+    """Switch threshold floor(tau/K)^exponent as a real number, which the
+    branch test compares with each pull count.  At 8/9 it is the paper's
+    delayed empirical switch.  At 1/5 an integer count n passes it exactly
+    when n <= floor((tau/K)^(1/5)), the paper's integer threshold, since
+    n <= floor(r)^(1/5) iff n^5 <= floor(r) iff n^5 <= r.
     """
     if tau < 1 or k < 1:
         raise ValueError("tau and k must be >= 1")
-    if abs(exponent - _EMPIRICAL_EXPONENT) < 1e-12:
-        return math.floor(tau / k) ** exponent
-    return float(math.floor((tau / k) ** exponent))
+    return math.floor(tau / k) ** exponent
 
 
 def switch_threshold(tau: int, k: int, exponent: float = 0.2) -> int:
@@ -214,8 +210,8 @@ def _tie_break(scores: np.ndarray, u) -> np.ndarray:
 def _binary_means(laws) -> np.ndarray:
     """Each law's mean where it lies on {0, 1}, read in O(1) off its sorted
     atoms (at most two, the first and last in {0, 1}), else NaN.  There the
-    divergence is the Bernoulli KL on the law's mean, which under ``bins``
-    may differ from the cell's exact s/n."""
+    divergence is the Bernoulli KL on the law's mean, which may differ from
+    the cell's exact s/n when :func:`simulate` rounds the pushed rewards."""
     binary = (len(nu) <= 2 and nu.values[0] in (0.0, 1.0) and nu.values[-1] in (0.0, 1.0) for nu in laws)
     return np.array([nu.mean if b else math.nan for nu, b in zip(laws, binary)])
 
@@ -324,7 +320,8 @@ def simulate(
     """Simulate one run per seed; return pseudo-regret at the recorded
     steps as a (runs, grid) array, plus the action log when asked.  With
     ``empirical``, each (run, arm) cell keeps its empirical distribution
-    (atoms rounded to ``bins`` when set) for the ``kinf`` branch.
+    for the ``kinf`` branch; with ``bins`` as well, each reward enters it
+    rounded to the grid {0, 1/bins, ..., 1}, while the sums stay exact.
 
     ``specs`` is one policy or a sequence of them; the seeds are then cut
     into one block of equal length per policy, in order, and each block is
@@ -338,6 +335,8 @@ def simulate(
     block length, so neither does any output bit.
     """
     specs = tuple(specs) if isinstance(specs, (tuple, list)) else (specs,)
+    if bins is not None:
+        bins = positive_int(bins, "bins")  # 2.5 would put the reward 1 at 0.8, off the grid
     k = bandit.k
     runs = len(seeds)
     width, extra = divmod(runs, len(specs))
@@ -357,7 +356,7 @@ def simulate(
     n_cells, s_cells = np.zeros(k * runs), np.zeros(k * runs)
     n, s = n_cells.reshape(k, runs).T, s_cells.reshape(k, runs).T
     scores = np.empty((runs, k), order="F")
-    dists = [EmpiricalDistribution(bins=bins) for _ in range(runs * k)] if empirical else None
+    dists = [EmpiricalDistribution() for _ in range(runs * k)] if empirical else None
     blocks = []  # per policy: its context, and its rows of n, s and dists
     for i, spec in enumerate(specs):
         rows = slice(i * width, (i + 1) * width)
@@ -390,7 +389,11 @@ def simulate(
             s_cells[cell] += r
             n_cells[cell] += 1.0
             if dists is not None:
-                for c, x in zip(cell.tolist(), r.tolist()):
+                # half to even, as Python's round; the product and the
+                # quotient each round correctly, so every atom has the bits
+                # of round(x * bins) / bins
+                pushed = r if bins is None else np.round(r * bins) / bins
+                for c, x in zip(cell.tolist(), pushed.tolist()):
                     dists[c]._push(x)
             regret += gaps[action]
             if actions is not None:

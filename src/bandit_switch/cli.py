@@ -34,7 +34,6 @@ from .policies import _NEEDS_HORIZON, PolicySpec
 from .simulator import (
     ConfigurationError,
     Scenario,
-    default_record_grid,
     gap_profile,
     monte_carlo,
     normalized_regret,
@@ -140,7 +139,7 @@ def _scenario_from_config(cfg: dict) -> Scenario:
         horizon = positive_int(cfg["horizon"], "horizon")
         grid = cfg.get("record_grid", "geometric")
         if grid == "geometric":
-            grid = default_record_grid(bandit.k, horizon)
+            grid = ()  # Scenario's default
         elif grid == "full":
             grid = tuple(range(1, horizon + 1))
         elif not (isinstance(grid, list) and grid):  # Scenario checks each entry

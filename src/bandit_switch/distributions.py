@@ -91,15 +91,11 @@ class EmpiricalDistribution:
     values, counts:
         Parallel sequences defining the atoms.  Values must be strictly
         increasing and lie in [0, 1]; counts must be positive integers.
-    bins:
-        Optional grid size.  When set, observations are rounded to the
-        uniform grid ``{0, 1/bins, ..., 1}`` before insertion, which caps
-        the support size for long streams of continuous rewards.
     """
 
-    __slots__ = ("_values", "_counts", "_total", "_sum", "_bins")
+    __slots__ = ("_values", "_counts", "_total", "_sum")
 
-    def __init__(self, values: Sequence[float] = (), counts: Sequence[int] = (), *, bins: int | None = None):
+    def __init__(self, values: Sequence[float] = (), counts: Sequence[int] = ()):
         v = np.asarray(values, dtype=float)
         c = np.asarray(counts, dtype=float)
         if v.shape != c.shape or v.ndim != 1:
@@ -112,31 +108,22 @@ class EmpiricalDistribution:
             if not np.all((c >= 1.0) & (c < 2.0**53) & (c == np.floor(c))):  # NaN fails too
                 raise ValueError("atom counts must be whole numbers >= 1")
         c = c.astype(np.int64)
-        if bins is not None:
-            bins = positive_int(bins, "bins")
         self._values = v
         self._counts = c
         self._total = int(c.sum())
         self._sum = float(np.dot(v, c)) if v.size else 0.0
-        self._bins = bins
 
     @classmethod
-    def from_observations(cls, xs: Iterable[float], *, bins: int | None = None) -> "EmpiricalDistribution":
-        dist = cls(bins=bins)
+    def from_observations(cls, xs: Iterable[float]) -> "EmpiricalDistribution":
+        dist = cls()
         for x in xs:
             dist._push(float(x))
         return dist
-
-    def _grid(self, x: float) -> float:
-        if self._bins is None:
-            return x
-        return round(x * self._bins) / self._bins
 
     def _push(self, x: float) -> None:
         # In-place insertion; reserved for an owner that holds the only reference.
         if not 0.0 <= x <= 1.0:
             raise ValueError(f"observation {x!r} outside [0, 1]")
-        x = self._grid(x)
         i = int(np.searchsorted(self._values, x))
         if i < self._values.size and self._values[i] == x:
             self._counts[i] += 1

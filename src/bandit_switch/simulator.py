@@ -57,14 +57,11 @@ _RECORD_POINTS = 50  # of the geometric recording grid, before rounding merges s
 
 
 def default_record_grid(k: int, horizon: int) -> tuple:
-    """Geometric grid of recording steps from K to T, always including T."""
+    """Geometric grid of recording steps from K to T, both included:
+    ``np.geomspace`` sets its two endpoints exactly."""
     if horizon < k:
         raise ConfigurationError("horizon must be at least the number of arms")
-    lo = max(k, 1)
-    grid = _sorted_unique(np.rint(np.geomspace(lo, horizon, _RECORD_POINTS)).astype(np.int64))
-    grid = grid[(grid >= 1) & (grid <= horizon)]
-    if grid.size == 0 or grid[-1] != horizon:
-        grid = np.append(grid, horizon)
+    grid = _sorted_unique(np.rint(np.geomspace(max(k, 1), horizon, _RECORD_POINTS)).astype(np.int64))
     return tuple(int(g) for g in grid)
 
 
@@ -99,6 +96,8 @@ class Scenario:
         if not self.policies:
             raise ConfigurationError("at least one policy is required")
         object.__setattr__(self, "policies", tuple(self.policies))
+        if len(set(self.policy_names)) != len(self.policies):
+            raise ConfigurationError(f"duplicate policy names in roster: {self.policy_names}")
         if self.bins is not None:
             object.__setattr__(self, "bins", positive_int(self.bins, "bins"))
         grid = tuple(positive_int(t, "record_grid entry") for t in self.record_grid)
@@ -111,10 +110,7 @@ class Scenario:
 
     @property
     def policy_names(self) -> tuple:
-        names = tuple(p.name for p in self.policies)
-        if len(set(names)) != len(names):
-            raise ConfigurationError(f"duplicate policy names in roster: {names}")
-        return names
+        return tuple(p.name for p in self.policies)
 
 
 @dataclass

@@ -5,6 +5,7 @@ the hash below is written here on Python integers, and nothing in this
 module imports one of the library's."""
 
 import copy
+import itertools
 import math
 
 import mpmath
@@ -156,16 +157,31 @@ def grid_max(dist, mu: float, lam_grid) -> float:
     return best
 
 
+def switch_value(tau, k: int, exponent: float = 0.2) -> np.ndarray:
+    """The switch threshold by the former two-branch rule, elementwise over
+    an array of ``tau``: the exponent 8/9 floors the ratio tau/K before the
+    power, any other floors the power, so that the theoretical threshold
+    floor((tau/K)^(1/5)) is an integer.  Each power is Python's float pow,
+    as the library takes it; numpy's array power differs from it in the
+    last bit at about one element in twenty."""
+    delayed = abs(exponent - 8.0 / 9.0) < 1e-12
+    r = np.asarray(tau, dtype=float) / k
+    base = np.floor(r) if delayed else r
+    power = np.fromiter(map(pow, base.ravel().tolist(), itertools.repeat(exponent)), float, base.size)
+    return power.reshape(base.shape) if delayed else np.floor(power).reshape(base.shape)
+
+
 def scalar_episode(bandit, spec, horizon: int, seed: int, bins=None):
     """One run by a plain per-step loop over one run's (1, K) counts, sums
     and empirical distributions, the reference for ``run_episode``: each
     arm once, then the argmax of the public ``indices``, with
-    scalar-hashed uniforms and one reward drawn at a time.  Returns
-    (trajectory, pulls, actions)."""
+    scalar-hashed uniforms and one reward drawn at a time, which enters
+    its distribution rounded by Python's ``round(x * bins) / bins`` when
+    ``bins`` is set.  Returns (trajectory, pulls, actions)."""
     key = mix64(seed)
     k = bandit.k
     n, s = np.zeros((1, k)), np.zeros((1, k))
-    dists = [EmpiricalDistribution(bins=bins) for _ in range(k)]
+    dists = [EmpiricalDistribution() for _ in range(k)]
     trajectory = np.empty(horizon)
     actions = np.empty(horizon, dtype=np.int32)
     regret = 0.0
@@ -177,7 +193,7 @@ def scalar_episode(bandit, spec, horizon: int, seed: int, bins=None):
         reward = float(bandit.arms[a].quantile(unit_uniform(key, step, CH_REWARD)))
         n[0, a] += 1.0
         s[0, a] += reward
-        dists[a]._push(reward)
+        dists[a]._push(reward if bins is None else round(reward * bins) / bins)
         regret += bandit.gaps[a]
         trajectory[step - 1] = regret
         actions[step - 1] = a

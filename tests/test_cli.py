@@ -205,6 +205,15 @@ def test_a_policy_horizon_that_the_sweep_overrides_exits_2(tmp_path, capsys, axi
     assert not (tmp_path / "out" / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_a_duplicate_policy_label_exits_2_before_the_output_directory_is_made(tmp_path, capsys, command):
+    policies = [{"family": "ucb", "label": "same"}, {"family": "imed", "label": "same"}]
+    cfg = dict(SMALL_CONFIG, policies=policies) if command == "run" else {"preset": "fig2-left", "runs": 2, "policies": policies}
+    assert main([command, write_config(tmp_path, cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    assert "duplicate policy names" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("key,value", [("runs", 5), ("horizon", 100), ("policies", [])])
 def test_a_run_key_beside_a_config_wrapper_exits_2(tmp_path, capsys, key, value):
     cfg = {"config": SMALL_CONFIG, "fanout": {}, "stamp": {}, key: value}

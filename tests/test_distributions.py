@@ -67,11 +67,10 @@ def test_observe_order_insensitive():
     orders=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40).flatmap(
         lambda xs: st.tuples(st.just(xs), st.permutations(xs))
     ),
-    bins=st.none() | st.integers(1, 50),
 )
-@example(orders=([0.1, 0.2, 0.3], [0.3, 0.2, 0.1]), bins=None)  # means 0x1.999999999999bp-3 and ...99p-3
-def test_only_the_mean_depends_on_observation_order(orders, bins):
-    a, b = (EmpiricalDistribution.from_observations(xs, bins=bins) for xs in orders)
+@example(orders=([0.1, 0.2, 0.3], [0.3, 0.2, 0.1]))  # means 0x1.999999999999bp-3 and ...99p-3
+def test_only_the_mean_depends_on_observation_order(orders):
+    a, b = (EmpiricalDistribution.from_observations(xs) for xs in orders)
     assert a == b
     for attr in ("values", "counts", "weights"):
         assert getattr(a, attr).tobytes() == getattr(b, attr).tobytes()
@@ -126,21 +125,6 @@ def test_constructor_rejects_nan_atoms_and_fractional_counts(values, counts, mes
 
 def test_constructor_keeps_whole_float_counts():
     assert EmpiricalDistribution([0.2, 0.7], [2.0, 3.0]) == EmpiricalDistribution([0.2, 0.7], [2, 3])
-
-
-def test_bins_mode_rounds_to_grid():
-    d = EmpiricalDistribution.from_observations((0.111, 0.108, 0.909), bins=10)
-    assert d.atoms == [(0.1, 2), (0.9, 1)]
-
-
-@pytest.mark.parametrize("bins", [2.5, math.nan, True, 0, -3, "abc"], ids=repr)
-def test_bins_must_be_a_positive_integer(bins):
-    # bins = 2.5 would put the reward 1 at the atom 0.8, off the grid {0, 1/bins, ..., 1}
-    with pytest.raises(ValueError, match="bins must be an integer"):
-        EmpiricalDistribution(bins=bins)
-    with pytest.raises(ValueError, match="bins must be an integer"):
-        EmpiricalDistribution.from_observations([1.0, 0.3], bins=bins)
-    assert EmpiricalDistribution.from_observations([1.0, 0.3], bins="5").atoms == [(0.4, 1), (1.0, 1)]
 
 
 # ---------------------------------------------------------------------------

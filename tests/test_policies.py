@@ -25,6 +25,7 @@ from bandit_switch import (
 from bandit_switch import _vector
 from bandit_switch.policies import _NEEDS_HORIZON, _READS
 from bandit_switch.kinf import _bern_kl, klucb_index
+import oracles
 
 
 # ---------------------------------------------------------------------------
@@ -82,10 +83,28 @@ def test_switch_threshold_examples():
 
 
 def test_switch_value_conventions():
-    # theoretical exponent floors the power; the empirical 8/9 floors the
-    # ratio and keeps the power real-valued
-    assert switch_value(1000, 3, 0.2) == float(math.floor((1000 / 3) ** 0.2))
-    assert switch_value(512, 2, 8.0 / 9.0) == pytest.approx(256.0 ** (8.0 / 9.0), rel=1e-12)
+    # one rule for every exponent: the floored ratio to the power, real-valued
+    for tau, k, e in ((1000, 3, 0.2), (512, 2, 8.0 / 9.0), (1000, 3, 0.889)):
+        assert switch_value(tau, k, e) == math.floor(tau / k) ** e
+    # at 1/5 an integer count takes the branch of the paper's integer
+    # threshold floor((tau/K)^(1/5)) = 3, which switch_threshold returns
+    assert switch_threshold(1000, 3, 0.2) == 3 == math.floor((1000 / 3) ** 0.2)
+    assert [n <= switch_value(1000, 3, 0.2) for n in range(1, 7)] == [n <= 3 for n in range(1, 7)]
+
+
+def test_one_switch_rule_keeps_the_two_branch_thresholds():
+    # The former rule floored the power at every exponent but 8/9.  An
+    # integer pull count takes the same branch under both rules exactly when
+    # their floors agree, which they do at every tau <= 10^6.  The one rule
+    # reads tau through floor(tau/K) alone, so it is called once per ratio.
+    tau = np.arange(1, 10**6 + 1)
+    for k in (1, 2, 3, 4, 5, 7, 10, 16, 50, 64):
+        one_rule = np.array([switch_value(max(m * k, 1), k) for m in range(10**6 // k + 1)])
+        assert np.array_equal(np.floor(one_rule[tau // k]), oracles.switch_value(tau, k)), k
+    # at 8/9 both rules are floor(tau/K)^(8/9)
+    sample = np.arange(1, 10**6, 997)
+    delayed = [switch_value(x, 3, 8.0 / 9.0) for x in sample.tolist()]
+    assert np.array_equal(delayed, oracles.switch_value(sample, 3, 8.0 / 9.0))
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +187,13 @@ def test_policy_spec_config_round_trip():
 
 def state_of(rewards, t=None, bins=None):
     """(n, s, t, dists) of one run whose arm a observed ``rewards[a]`` in
-    order; ``t`` is the number of pulls unless given."""
+    order; ``t`` is the number of pulls unless given.  With ``bins``, the
+    rewards enter the distributions rounded to the grid {0, 1/bins, ..., 1},
+    as the simulation loop pushes them, and the sums stay exact."""
     n = np.array([[len(xs) for xs in rewards]], dtype=float)
     s = np.array([[sum(xs) for xs in rewards]], dtype=float)
-    dists = [EmpiricalDistribution.from_observations(xs, bins=bins) for xs in rewards]
+    grid = (lambda x: x) if bins is None else (lambda x: round(x * bins) / bins)
+    dists = [EmpiricalDistribution.from_observations(grid(x) for x in xs) for xs in rewards]
     return n, s, int(n.sum()) if t is None else t, dists
 
 

@@ -15,6 +15,7 @@ from bandit_switch import (
     ConfigurationError,
     Dirac,
     Discrete,
+    EmpiricalDistribution,
     PolicySpec,
     Scenario,
     TruncatedExponential,
@@ -288,6 +289,21 @@ def test_record_grid_default_and_validation():
         Scenario(bandit=BERN3, horizon=2, policies=(PolicySpec("ucb"),), runs=1, base_seed=1)
 
 
+def test_default_record_grid_runs_from_k_to_the_horizon():
+    # np.geomspace sets both endpoints exactly, so the rounded grid starts
+    # at K, ends at T and, once merged, strictly increases
+    for k in range(1, 65):
+        for horizon in {k, k + 1, k + 2, 2 * k, 3 * k + 1, 50 * k} | {t for t in (100, 999, 10**4, 123_457, 10**6) if t >= k}:
+            grid = np.array(default_record_grid(k, horizon))
+            assert grid[0] == k and grid[-1] == horizon and np.all(np.diff(grid) > 0), (k, horizon)
+
+
+def test_duplicate_policy_names_are_rejected_when_the_scenario_is_built():
+    for roster in ((PolicySpec("ucb"), PolicySpec("ucb")), (PolicySpec("ucb", label="a"), PolicySpec("imed", label="a"))):
+        with pytest.raises(ConfigurationError, match="duplicate policy names"):
+            Scenario(bandit=BERN3, horizon=10, policies=roster, runs=1, base_seed=1)
+
+
 @pytest.mark.parametrize("grid", [(2.5, 5), (2.0, 5), (True, 5), (0, 5), (None, 5)], ids=["2.5", "2.0", "True", "0", "None"])
 def test_record_grid_entries_are_positive_integers(grid):
     # a float or a bool is no step, even one that equals an integer
@@ -505,16 +521,55 @@ TRUNC_EXP = BanditInstance(tuple(TruncatedExponential(m) for m in (0.15, 0.10, 0
 EMPIRICAL_FAMILIES = (PolicySpec("klucb-anytime"), SWITCH_8_9, PolicySpec("imed"))
 
 
-@pytest.mark.parametrize("bins", [None, 20], ids=["exact", "bins20"])
+@pytest.mark.parametrize("bins", [None, 20, 50], ids=["exact", "bins20", "bins50"])
 @pytest.mark.parametrize("spec", EMPIRICAL_FAMILIES, ids=lambda spec: spec.family)
 @pytest.mark.parametrize("bandit", [TRUNC_GAUSS, TRUNC_EXP], ids=["truncgauss", "truncexp"])
 def test_run_episode_replays_the_scalar_reference_on_continuous_arms(bandit, spec, bins):
+    # the reference rounds each reward by Python's round, the loop a step's
+    # rewards at once by np.round
     assert_replays_the_scalar_reference(bandit, spec, 150, [run_seed(41, 0, r) for r in range(2)], bins)
 
 
 @pytest.mark.parametrize("family,kwargs", BERN_FAMILIES)
 def test_run_episode_replays_the_scalar_reference_on_bernoulli_arms(family, kwargs):
     assert_replays_the_scalar_reference(BERN3, PolicySpec(family, **kwargs), 250, [run_seed(31_337, 0, r) for r in range(2)])
+
+
+HALF_GRID = BanditInstance((Discrete((0.25, 0.75), (0.5, 0.5)), Bernoulli(0.4)))
+
+
+def record_pushes(monkeypatch) -> list:
+    """The list that every value pushed into an empirical distribution is
+    appended to from now on."""
+    pushed, push = [], EmpiricalDistribution._push
+    monkeypatch.setattr(EmpiricalDistribution, "_push", lambda self, x: pushed.append(x) or push(self, x))
+    return pushed
+
+
+@pytest.mark.parametrize("spec", EMPIRICAL_FAMILIES, ids=lambda spec: spec.family)
+def test_half_grid_rewards_round_to_even_in_the_loop(monkeypatch, spec):
+    # at bins = 2 the rewards 0.25 and 0.75 sit on ties, 0.5 and 1.5 on the
+    # grid's scale, and round half to even to 0 and 1: the arm's law lies on
+    # {0, 1}, so it takes the Bernoulli route on the mean of the rounded
+    # rewards, not on s/n
+    pushed = record_pushes(monkeypatch)
+    assert_replays_the_scalar_reference(HALF_GRID, spec, 120, [run_seed(17, 0, r) for r in range(3)], 2)
+    assert set(pushed) == {0.0, 1.0}
+
+
+@pytest.mark.parametrize("bins", [2.5, math.nan, True, 0, -3, "abc"], ids=repr)
+def test_bins_must_be_a_positive_integer(monkeypatch, bins):
+    # bins = 2.5 would put the reward 1 at the atom 0.8, off the grid {0, 1/bins, ..., 1}
+    spec = PolicySpec("klucb-anytime")
+    with pytest.raises(ConfigurationError, match="bins must be an integer"):
+        run_episode(TRUNC_GAUSS, spec, 10, seed=1, bins=bins)
+    with pytest.raises(ConfigurationError, match="bins must be an integer"):
+        _vector.simulate(TRUNC_GAUSS, spec, 10, [1], (10,), empirical=True, bins=bins)
+    # a decimal string is read as the integer it spells
+    pushed = record_pushes(monkeypatch)
+    actions = run_episode(TRUNC_GAUSS, spec, 40, seed=1, bins="5").actions
+    assert actions.tobytes() == scalar_episode(TRUNC_GAUSS, spec, 40, 1, bins=5)[2].tobytes()
+    assert set(pushed) <= {0.0, 0.2, 0.4, 0.6, 0.8, 1.0}
 
 
 @pytest.mark.parametrize("bins", [None, 20], ids=["exact", "bins20"])
