@@ -11,6 +11,9 @@ tie-breaks come from the counter-based hash in :mod:`._rng`, and the
 Bernoulli and exponential KL are inverted by one Newton iteration,
 :func:`_newton_down`, stopped element by element; so each run's
 trajectory is the same in any batch, next to any other policy's runs.
+:func:`simulate` needs only each step's argmax and tie set, so
+:func:`_settle` inverts a Bernoulli-KL cell only where one forward KL test
+cannot place it, and leaves ±inf in its score buffer elsewhere.
 
 The empirical-likelihood families (klucb*, imed) take one of two branches,
 chosen by the input.  Given each (run, arm) cell's empirical distribution
@@ -124,6 +127,11 @@ def _newton_down(f, x, *args) -> np.ndarray:
     return x
 
 
+def _bern_edge(p: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """:func:`bern_klucb` where d = 0, p = 0 or p = 1: kl(0, mu) = -ln(1 - mu)."""
+    return np.where(p > 0.0, p, -np.expm1(-d))
+
+
 def bern_klucb(p: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Elementwise sup { mu : kl(p, mu) <= d } for Bernoulli KL, by Newton in
     y = -ln(1 - mu): kl(p, mu(y)) - d is increasing and convex with slope
@@ -139,7 +147,7 @@ def bern_klucb(p: np.ndarray, d: np.ndarray) -> np.ndarray:
         mu = 1.0 - np.exp(-y)
         return (p * (lp - np.log(mu)) + qlq + q * y - d) / ((mu - p) / mu)
 
-    out = np.where(p > 0.0, p, -np.expm1(-d))  # kl(0, mu) = -ln(1 - mu); p = 1 stays 1
+    out = _bern_edge(p, d)
     gen = (d > 0.0) & (p > 0.0) & (p < 1.0)
     if np.count_nonzero(gen):
         p, d = p[gen], d[gen]
@@ -194,11 +202,12 @@ def _draw(arms: tuple, bern_p: np.ndarray | None, action: np.ndarray, u: np.ndar
 
 def _tie_break(scores: np.ndarray, u) -> np.ndarray:
     """Per run, the arm of largest score; among m tied arms, the i-th in arm
-    order for u in [i/m, (i+1)/m).  Scores are finite, so every run has at
-    least one best arm, and a run with one takes the first best; the rank
-    scan runs only on the runs with two or more."""
+    order for u in [i/m, (i+1)/m).  No run holds -inf alone (see
+    :func:`_settle`), so a run with one best arm takes it, found by reductions
+    (an argmax copies the arm-major buffer); the rank scan runs only on the rest."""
+    k = scores.shape[1]
     tied = scores == scores.max(axis=1, keepdims=True)
-    action = tied.argmax(axis=1)
+    action = k - (tied * np.arange(k, 0, -1, dtype=np.int32)).max(axis=1)
     if np.count_nonzero(tied) > len(scores):
         multi = np.flatnonzero(np.count_nonzero(tied, axis=1) > 1)
         rank = tied[multi].cumsum(axis=1, dtype=np.int32)  # last column: number tied
@@ -219,11 +228,12 @@ def _binary_means(laws) -> np.ndarray:
 def _kl_upper(out: np.ndarray, cells: np.ndarray, p: np.ndarray, d: np.ndarray, dists, pending: list | None) -> None:
     """sup { mu : divergence <= d } at the flat ``cells`` of ``out``, with
     ``p`` and ``d`` the means and budgets of those cells, by the Bernoulli
-    KL on the mean: queued on ``pending`` as ``(out, cells, p, d)`` for
-    :func:`_invert_pending`, or inverted at once when no list is given.
-    Given each cell's empirical distribution ``dists[c]``, only the cells
-    whose law lies on {0, 1} take that route, on their law's mean; every
-    other cell takes ``klucb_index`` on its law, put at once."""
+    KL on the mean: inverted at once when no list is given, else left
+    unfilled and queued on ``pending`` as ``(cells, p, d)`` for
+    :func:`_settle`.  Given each cell's empirical distribution
+    ``dists[c]``, only the cells whose law lies on {0, 1} take that route,
+    on their law's mean; every other cell takes ``klucb_index`` on its law,
+    put at once."""
     if dists is not None:
         laws = [dists[c] for c in cells.tolist()]
         m = _binary_means(laws)
@@ -233,20 +243,49 @@ def _kl_upper(out: np.ndarray, cells: np.ndarray, p: np.ndarray, d: np.ndarray, 
     if pending is None:
         out.put(cells, bern_klucb(p, d))
     elif cells.size:
-        pending.append((out, cells, p, d))
+        pending.append((cells, p, d))
 
 
-def _invert_pending(pending: list) -> None:
-    """Every queued Bernoulli-KL inversion of :func:`_kl_upper` in one
-    :func:`bern_klucb` call, each result put at its cells."""
-    if len(pending) == 1:  # no concatenation copy
-        r = bern_klucb(pending[0][2], pending[0][3])
-    else:
-        r = bern_klucb(np.concatenate([e[2] for e in pending]), np.concatenate([e[3] for e in pending]))
-    lo = 0
-    for out, cells, p, _ in pending:
-        out.put(cells, r[lo : lo + p.size])
-        lo += p.size
+def _settle(scores: np.ndarray, cells: np.ndarray, p: np.ndarray, d: np.ndarray) -> None:
+    """Fill the queued Bernoulli-KL ``cells`` of ``scores`` (flat in
+    ``scores.T``), of means ``p`` and budgets ``d``, so that each run's
+    argmax and tie set are those of full evaluation: each cell gets its
+    exact index, -inf below its run's maximum, or +inf as its argmax alone.
+
+    Cells off the general case take :func:`_bern_edge`.  For a general
+    cell, let r > p be the root of kl(p, r) = d, v its :func:`bern_klucb`
+    value, |v - r| <= 1e-10, and B' = max(min(B, 1 - 1e-9), p), with B its
+    run's best score over the cells not general.  On [p, 1) kl(p, .) has
+    the increasing slope g(x) = (x - p)/(x (1 - x)) <= 1/(x (1 - x)).  One
+    forward evaluation gives slack = d - kl(p, B'), against the margin
+    m = 1e-9 (1 + 1/(B' (1 - B'))), whose 1e-9 covers kl's rounding:
+    - slack < -m puts v below B' <= B: slack = d > 0 at B' = p, so here
+      p < B' <= B, and v >= B' would give r >= B' - 1e-10 and
+      -slack <= 1e-10 g(B') <= m - 1e-9.
+    - slack > m with B' < 1 - 1e-9, where B' = max(B, p), puts v above
+      B' >= B: v <= B' would give r <= B' + 1e-10 and slack <=
+      1e-10 g(B' + 1e-10) <= 1e-10 / (0.9 B' (1 - B')) < m - 1e-9.
+    A cell below keeps -inf.  A cell above that is its run's only general
+    cell not below gets +inf (at B = -inf no cell is below, so only at
+    K = 1).  The rest go to one :func:`bern_klucb` call.
+    """
+    runs = len(scores)
+    flat = scores.T
+    gen = (d > 0.0) & (p > 0.0) & (p < 1.0)
+    flat.put(cells, np.where(gen, -np.inf, _bern_edge(p, d)))
+    cells, p, d = cells[gen], p[gen], d[gen]
+    run = cells % runs
+    b = np.maximum(np.minimum(scores.max(axis=1)[run], 1.0 - 1e-9), p)
+    q, e = 1.0 - p, 1.0 - b
+    slack = d - (p * np.log(p / b) + q * np.log(q / e))
+    m = 1e-9 + 1e-9 / (b * e)
+    below = slack < -m
+    above = (slack > m) & (b < 1.0 - 1e-9)
+    lone = above & (np.bincount(run[~below], minlength=runs)[run] == 1)
+    flat.put(cells[lone], np.inf)
+    solve = ~(below | lone)
+    if np.count_nonzero(solve):
+        flat.put(cells[solve], bern_klucb(p[solve], d[solve]))
 
 
 def _indices(ctx: _Ctx, n: np.ndarray, s: np.ndarray, t: int, dists=None, pending=None) -> np.ndarray:
@@ -279,9 +318,11 @@ def _indices(ctx: _Ctx, n: np.ndarray, s: np.ndarray, t: int, dists=None, pendin
         d = _explo(spec.exploration, ref / (k * n)) / n
         return exp_klucb(np.maximum(mean, 1e-12), d)
     if fam == "imed":
-        pmax = np.clip(mean.max(axis=1), 1e-9, 1.0 - 1e-9)[:, None]
-        if dists is None:
-            kl = np.where(mean >= pmax, 0.0, _bern_kl(mean, pmax))
+        pmax = np.minimum(np.maximum(mean.max(axis=1), 1e-9), 1.0 - 1e-9)[:, None]
+        if dists is None:  # kinf._bern_kl's sum, where mean < pmax < 1
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t1 = np.where(mean > 0.0, mean * np.log(mean / pmax), 0.0)
+                kl = np.where(mean >= pmax, 0.0, t1 + (1.0 - mean) * np.log((1.0 - mean) / (1.0 - pmax)))
         else:
             kl = np.zeros_like(mean)
             mu = np.broadcast_to(pmax, mean.shape).T
@@ -327,8 +368,8 @@ def simulate(
     into one block of equal length per policy, in order, and each block is
     run by its policy.  Every block writes its rows of one score buffer,
     which one tie-break maximises; the Bernoulli-KL cells of all blocks go
-    through one :func:`bern_klucb` call per step, and the draw, state
-    update and regret run once.
+    through one :func:`_settle` pass per step, and the draw, state update
+    and regret run once.
 
     The uniforms of both channels are hashed for a block of steps at a
     time, about ``_BLOCK_ELEMS`` per channel; they do not depend on the
@@ -357,11 +398,12 @@ def simulate(
     n, s = n_cells.reshape(k, runs).T, s_cells.reshape(k, runs).T
     scores = np.empty((runs, k), order="F")
     dists = [EmpiricalDistribution() for _ in range(runs * k)] if empirical else None
-    blocks = []  # per policy: its context, and its rows of n, s and dists
+    blocks = []  # per policy: its context, its rows of n, s and dists, and its cells' places in scores.T
     for i, spec in enumerate(specs):
         rows = slice(i * width, (i + 1) * width)
         cells = None if dists is None else [dists[a * runs + r] for a in range(k) for r in range(runs)[rows]]
-        blocks.append((_Ctx(spec), n[rows], s[rows], cells))
+        where = (np.arange(k)[:, None] * runs + np.arange(runs)[rows]).ravel()
+        blocks.append((_Ctx(spec), n[rows], s[rows], cells, where))
     run_ids = np.arange(runs)
     regret = np.zeros(runs)
     gpos = np.full(horizon + 1, -1, dtype=np.int64)
@@ -379,11 +421,15 @@ def simulate(
             if step <= k:  # each arm once, in order
                 action = np.full(runs, step - 1)
             else:
-                pending = []
-                parts = [_indices(ctx, nb, sb, step - 1, cells, pending) for ctx, nb, sb, cells in blocks]
+                parts, pending = [], []
+                for ctx, nb, sb, cells, where in blocks:
+                    queued = []
+                    parts.append(_indices(ctx, nb, sb, step - 1, cells, queued))
+                    pending += [(where[c], p, d) for c, p, d in queued]
+                np.concatenate(parts, out=scores)
                 if pending:
-                    _invert_pending(pending)
-                action = _tie_break(np.concatenate(parts, out=scores), u_tie)
+                    _settle(scores, *(np.concatenate(x) for x in zip(*pending)))
+                action = _tie_break(scores, u_tie)
             r = _draw(arms, bern_p, action, u)
             cell = action * runs + run_ids
             s_cells[cell] += r

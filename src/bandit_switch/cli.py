@@ -217,9 +217,10 @@ def cmd_run(args) -> int:
     if args.runs is not None:
         cfg["runs"] = args.runs
     scenario = _scenario_from_config(cfg)
+    parallelism = _parallelism(args, cfg)
     out_dir = args.out_dir or cfg.get("out_dir") or "."
     os.makedirs(out_dir, exist_ok=True)
-    curve = monte_carlo(scenario, parallelism=_parallelism(args, cfg))
+    curve = monte_carlo(scenario, parallelism=parallelism)
     with open(os.path.join(out_dir, "regret.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["policy", "t", "mean_regret", "stderr", "runs"])
@@ -289,9 +290,9 @@ def cmd_sweep(args) -> int:
         raise
     except (ValueError, TypeError) as exc:
         raise ConfigurationError(f"invalid sweep configuration: {exc}")
+    parallelism = _parallelism(args, cfg)
     out_dir = args.out_dir or cfg.get("out_dir") or "."
     os.makedirs(out_dir, exist_ok=True)
-    parallelism = _parallelism(args, cfg)
 
     rows = []
     expanded_points = []
@@ -315,9 +316,10 @@ def cmd_verify(args) -> int:
         print(f"unknown suite {suite!r}; known: {', '.join(SUITES)}", file=sys.stderr)
         return 2
     runs = None if args.runs is None else positive_int(args.runs, "--runs")
+    parallelism = _parallelism(args, {})
     out_dir = args.out_dir or "."
     os.makedirs(out_dir, exist_ok=True)
-    reports = run_suite(suite, runs=runs, parallelism=_parallelism(args, {}))
+    reports = run_suite(suite, runs=runs, parallelism=parallelism)
     path = os.path.join(out_dir, f"verify_{suite}.csv")
     violations = 0
     with open(path, "w", newline="") as fh:

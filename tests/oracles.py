@@ -200,6 +200,39 @@ def scalar_episode(bandit, spec, horizon: int, seed: int, bins=None):
     return trajectory, n[0].astype(np.int64), actions
 
 
+def full_evaluation(bandit, specs, horizon: int, seeds, empirical: bool = False, bins=None) -> np.ndarray:
+    """The actions of ``_vector.simulate(bandit, specs, horizon, seeds,
+    ..., empirical=empirical, bins=bins)`` by a plain per-step loop that
+    evaluates every index: the seeds cut into one block per policy, each
+    arm once, then each block's public ``indices`` on its rows (every
+    Bernoulli-KL cell inverted, the cells' empirical distributions given
+    when ``empirical``) and the ``_tie_break`` of each row, with
+    scalar-hashed uniforms and one reward drawn and pushed at a time.
+    Returns the (runs, horizon) actions."""
+    k, runs = bandit.k, len(seeds)
+    width = runs // len(specs)
+    keys = [mix64(sd) for sd in seeds]
+    n, s = np.zeros((runs, k)), np.zeros((runs, k))
+    dists = [[EmpiricalDistribution() for _ in range(k)] for _ in range(runs)]
+    actions = np.empty((runs, horizon), dtype=np.int32)
+    for step in range(1, horizon + 1):
+        if step <= k:
+            actions[:, step - 1] = step - 1
+        else:
+            for i, spec in enumerate(specs):
+                rows = slice(i * width, (i + 1) * width)
+                laws = [dists[r][a] for a in range(k) for r in range(runs)[rows]] if empirical else None
+                u = np.array([unit_uniform(keys[r], step, CH_TIE) for r in range(runs)[rows]])
+                actions[rows, step - 1] = _tie_break(indices(spec, n[rows], s[rows], step - 1, laws), u)
+        for r in range(runs):
+            a = int(actions[r, step - 1])
+            reward = float(bandit.arms[a].quantile(unit_uniform(keys[r], step, CH_REWARD)))
+            n[r, a] += 1.0
+            s[r, a] += reward
+            dists[r][a]._push(reward if bins is None else round(reward * bins) / bins)
+    return actions
+
+
 def replay_checkpoints(bandit, seeds, actions, steps, specs):
     """The per-step reference for the index-ordering check's checkpoint
     states: each logged run of ``actions`` (runs, T) replayed on its own

@@ -503,3 +503,18 @@ def test_non_integer_threads_env_exits_2_under_run_and_verify(tmp_path, monkeypa
     monkeypatch.setenv("BANDIT_SWITCH_THREADS", "abc")
     assert main(["run", write_config(tmp_path, SMALL_CONFIG), "--out-dir", str(tmp_path)]) == 2
     assert main(["verify", "lambert", "--out-dir", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "verify"])
+@pytest.mark.parametrize("source", ["flag", "env"])
+def test_a_bad_worker_count_exits_2_before_the_output_directory_is_made(tmp_path, monkeypatch, command, source):
+    if command == "verify":
+        argv = ["verify", "lambert"]
+    else:
+        argv = [command, write_config(tmp_path, SMALL_CONFIG if command == "run" else {"preset": "fig2-left", "runs": 2})]
+    if source == "flag":
+        argv += ["--parallelism", "0"]
+    else:
+        monkeypatch.setenv("BANDIT_SWITCH_THREADS", "abc")
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()

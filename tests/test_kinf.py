@@ -658,9 +658,17 @@ def test_bern_klucb_start_is_certified_and_the_result_matches_the_root(p, d):
 
 
 def test_bern_klucb_newton_stops_within_six_steps_on_fig1_left(monkeypatch):
-    # fig1-left's arms and base seed, 200 runs of 600 steps; the quadratic
-    # start takes 5 steps per call here, the relaxation start alone up to 11
-    newton = _vector._newton_down
+    # fig1-left's arms and base seed, 200 runs of 600 steps: each step's
+    # queued Bernoulli-KL cells, inverted in full as one call (the loop
+    # inverts only the few that could win); the quadratic start takes 5
+    # steps per call here, the relaxation start alone up to 11
+    queued = []
+    settle, newton = _vector._settle, _vector._newton_down
+
+    def capturing(scores, cells, p, d):
+        queued.append((p.copy(), d.copy()))
+        settle(scores, cells, p, d)
+
     steps = []
 
     def counting(f, x, *args):
@@ -674,13 +682,17 @@ def test_bern_klucb_newton_stops_within_six_steps_on_fig1_left(monkeypatch):
         steps.append(calls[0])
         return out
 
+    monkeypatch.setattr(_vector, "_settle", capturing)
     monkeypatch.setattr(_vector, "_newton_down", counting)
     bandit = BanditInstance((Bernoulli(0.9), Bernoulli(0.8)))
     roster = {2: PolicySpec("klucb-anytime"), 3: PolicySpec("klucb-switch-anytime", switch_exponent=8.0 / 9.0)}
     for i, spec in roster.items():
-        steps.clear()
+        queued.clear()
         _vector.simulate(bandit, spec, 600, [run_seed(20_240_301, i, r) for r in range(200)], [600])
-        assert steps and max(steps) <= 6, (spec.family, max(steps))
+        steps.clear()
+        for p, d in queued:
+            _vector.bern_klucb(p, d)
+        assert len(steps) > 500 and max(steps) <= 6, (spec.family, len(steps), max(steps))
 
 
 def test_exp_kl_index_clamped_to_unit_interval():

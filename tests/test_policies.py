@@ -323,19 +323,20 @@ def test_imed_prefers_undersampled_equal_mean_arm():
 )
 def test_kernel_empirical_branch_matches_bernoulli_branch(family, kwargs):
     # on {0, 1} rewards the kinf branch (given the distributions) and the
-    # Bernoulli branch (means only, its KL cells queued and then inverted)
-    # compute the same divergence, by the same formulas, to the bit
+    # Bernoulli branch (means only, its KL cells queued as the simulation
+    # loop queues them, then inverted) compute the same divergence, by the
+    # same formulas, to the bit
     spec = PolicySpec(family, **kwargs)
     ctx = _vector._Ctx(spec)
     rng = np.random.default_rng(24)
     for _ in range(40):
         n, s, t, dists = random_state(rng, int(rng.integers(2, 5)), int(rng.integers(0, 250)))
         empirical = indices(spec, n, s, t, dists)[0]
-        pending = []
-        bernoulli = _vector._indices(ctx, n, s, t, None, pending)[0]
-        if pending:  # imed, and a switch with every arm past its threshold, queue nothing
-            _vector._invert_pending(pending)
-        assert np.array_equal(empirical, bernoulli)
+        queued = []  # imed, and a switch with every arm past its threshold, queue nothing
+        bernoulli = _vector._indices(ctx, n, s, t, None, queued)
+        for cells, p, d in queued:
+            bernoulli.T.put(cells, _vector.bern_klucb(p, d))
+        assert np.array_equal(empirical, bernoulli[0])
 
 
 def stack(states):
